@@ -250,3 +250,113 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cohen-macaulay: yes" in proc.stdout
+
+
+THREE_GEN = "3,3;1:1,2:2,4:1"
+_CONSTS_MACAULAY = ("FourGenConstants(d=4, n=4, e=3, l=1, f=1, m=3, a1=1, b1=1, g1=4, h1=4, "
+                    "a2=2, b2=2, g2=-4, h2=4, a3=3, b3=1, g3=8, h3=0)")
+_CONSTS_RING_11 = ("FourGenConstants(d=2, n=3, e=11, l=1, f=1, m=11, a1=1, b1=1, g1=12, h1=12, "
+                   "a2=5, b2=1, g2=-54, h2=6, a3=6, b3=0, g3=66, h3=6)")
+_NOT_CM = {"cone_shift": False, "corner_unique": False, "fourgen_sign": False,
+           "length_equals_multiplicity": False}
+_NOT_CM_DETAIL = ("cone_shift=false corner_unique=false fourgen_sign=false "
+                  "length_equals_multiplicity=false")
+
+PINNED_OUTPUTS = [
+    (["analyze", MACAULAY_JSON, "--json", "--oracle"], 3, {
+        "basis": [[0, 0], [3, 1], [6, 2], [1, 3], [2, 6]],
+        "constant_C": 1,
+        "criteria": _NOT_CM,
+        "is_cm": False,
+        "length": 5,
+        "multiplicity": 4,
+        "oracle_checked": True,
+        "polynomial": {"intercept": 5, "slope": 4},
+        "spec": {"a": 4, "b": 4, "gens": [[3, 1], [1, 3]]},
+        "stabilization_N": 0,
+        "subgroup_size": 4,
+        "trace": None,
+    }),
+    (["verify", MACAULAY_JSON, "--json", "--hf-range", "0..12"], 0, {
+        "checks": [
+            {"detail": _NOT_CM_DETAIL, "name": "cm_agreement", "passed": True},
+            {"detail": "HF(0..12) = [5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 53], "
+                       "equals P(n) exactly for n >= 0",
+             "name": "hilbert_function", "passed": True},
+            {"detail": f"fast {_CONSTS_MACAULAY} vs brute force",
+             "name": "constants", "passed": True},
+            {"detail": "basis size 5, corner count 5",
+             "name": "basis_equals_corners", "passed": True},
+            {"detail": "|B0| vs |H| = 4", "name": "candidate_box_size", "passed": True},
+        ],
+        "passed": True,
+        "spec": {"a": 4, "b": 4, "gens": [[3, 1], [1, 3]]},
+    }),
+    (["analyze", RING_11_JSON, "--json", "--oracle"], 3, {
+        "basis": [[0, 0], [11, 1], [22, 2], [33, 3], [44, 4], [55, 5],
+                  [1, 11], [2, 22], [3, 33], [4, 44], [5, 55]],
+        "constant_C": 30,
+        "criteria": _NOT_CM,
+        "is_cm": False,
+        "length": 11,
+        "multiplicity": 6,
+        "oracle_checked": True,
+        "polynomial": {"intercept": 36, "slope": 6},
+        "spec": {"a": 2, "b": 3, "gens": [[11, 1], [1, 11]]},
+        "stabilization_N": 9,
+        "subgroup_size": 6,
+        "trace": None,
+    }),
+    (["verify", RING_11_JSON, "--json", "--hf-range", "0..12"], 0, {
+        "checks": [
+            {"detail": _NOT_CM_DETAIL, "name": "cm_agreement", "passed": True},
+            {"detail": "HF(0..12) = [11, 22, 32, 41, 50, 59, 67, 75, 83, 90, 96, 102, 108], "
+                       "equals P(n) exactly for n >= 9",
+             "name": "hilbert_function", "passed": True},
+            {"detail": f"fast {_CONSTS_RING_11} vs brute force",
+             "name": "constants", "passed": True},
+            {"detail": "basis size 11, corner count 11",
+             "name": "basis_equals_corners", "passed": True},
+            {"detail": "|B0| vs |H| = 6", "name": "candidate_box_size", "passed": True},
+        ],
+        "passed": True,
+        "spec": {"a": 2, "b": 3, "gens": [[11, 1], [1, 11]]},
+    }),
+    (["analyze", THREE_GEN, "--json", "--oracle"], 0, {
+        "basis": None,
+        "constant_C": 0,
+        "criteria": {"cone_shift": True, "corner_unique": True,
+                     "length_equals_multiplicity": True},
+        "is_cm": True,
+        "length": 3,
+        "multiplicity": 3,
+        "oracle_checked": True,
+        "polynomial": {"intercept": 3, "slope": 3},
+        "spec": {"a": 3, "b": 3, "gens": [[1, 1], [2, 2], [4, 1]]},
+        "stabilization_N": 0,
+        "subgroup_size": 3,
+        "trace": None,
+    }),
+    (["verify", THREE_GEN, "--json", "--hf-range", "0..12"], 0, {
+        "checks": [
+            {"detail": "cone_shift=true corner_unique=true length_equals_multiplicity=true",
+             "name": "cm_agreement", "passed": True},
+            {"detail": "HF(0..12) = [3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39], "
+                       "equals P(n) exactly for n >= 0",
+             "name": "hilbert_function", "passed": True},
+        ],
+        "passed": True,
+        "spec": {"a": 3, "b": 3, "gens": [[1, 1], [2, 2], [4, 1]]},
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED_OUTPUTS,
+                         ids=[f"{cmd}-{ring}" for ring in ("macaulay", "ring11", "threegen")
+                              for cmd in ("analyze", "verify")])
+def test_json_output_pinned(capsys, argv, code, expected):
+    # the serialization (two-space indent, sorted keys, one trailing newline)
+    # is part of what is pinned, so stdout is compared byte for byte
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err) == (code, "")
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
