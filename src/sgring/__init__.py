@@ -11,7 +11,6 @@ from .core import (
     class_of,
     lattice_contains,
     order_of,
-    semigroup_contains,
     subgroup_classes,
     validate,
     weighted_degree,
@@ -58,6 +57,7 @@ from .oracle import (
     gsw_cm_check,
     hilbert_function,
     length_mod_parameters,
+    semigroup_contains,
 )
 
 __version__ = "0.1.0"

@@ -18,18 +18,19 @@ import io
 import json
 import sys
 
-from . import curve, fourgen, hilbert
+from . import curve, fourgen, hilbert, oracle
 from .core import RingSpec, subgroup_classes
 from .errors import (
     BudgetExceeded,
     DisagreementError,
+    IdentityViolation,
+    NonTermination,
     NotFourGen,
     RingSpecError,
     SgringError,
 )
 from .oracle import DEFAULT_BUDGET, corners, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
-EXIT_CM = 0
 EXIT_OK = 0
 EXIT_NOT_CM = 3
 EXIT_USAGE = 64
@@ -77,44 +78,74 @@ def ring_json(spec: RingSpec) -> dict:
     return {"a": spec.a, "b": spec.b, "gens": [list(g) for g in spec.gens]}
 
 
-def build_report(spec: RingSpec, oracle_checked: bool = False,
-                 budget: int = DEFAULT_BUDGET, with_trace: bool = False) -> dict:
-    """Full analysis of one ring; raises DisagreementError if criteria split."""
-    cs = corners(spec, budget)
-    hd = hilbert.hilbert_data(spec, cs)
-    length = len(cs)
+def _fourgen_basis(spec: RingSpec) -> fourgen.BasisResult | None:
+    """Monomial basis by the four-generator fast path; None unless t = 2."""
+    if len(spec.gens) != 2:
+        return None
+    return fourgen.monomial_basis(fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1]))
+
+
+def run_checks(spec: RingSpec, cs: oracle.CornerSet, hd: hilbert.HilbertData,
+               basis: fourgen.BasisResult | None, hf_range: tuple[int, int] | None,
+               with_oracle: bool = True) -> tuple[dict[str, bool], list[tuple[str, bool, str]]]:
+    """The Cohen-Macaulay criteria, which must agree, and the (name, passed,
+    detail) fast-vs-oracle checks, which should all pass on every ring.
+
+    Without `with_oracle` nothing brute-force runs: no cone-shift criterion,
+    no constants or box-size check.
+    """
     criteria = {
         "corner_unique": hilbert.is_cm(spec, cs),
-        "length_equals_multiplicity": length == hd.multiplicity,
+        "length_equals_multiplicity": len(cs) == hd.multiplicity,
     }
-    basis_out = None
-    trace_out = None
     if len(spec.gens) <= 1:
         # at most three monomial generators: always Cohen-Macaulay
         criteria["few_generators"] = True
-    elif len(spec.gens) == 2:
-        consts = fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1])
-        criteria["fourgen_sign"] = fourgen.is_cm(consts)
-        result = fourgen.monomial_basis(consts)
-        basis_out = [list(v) for v in result.sorted_monomials()]
-        if with_trace:
-            trace_out = [_trace_json(t) for t in result.trace]
-        if oracle_checked and fourgen_constants_bruteforce(
-                spec.a, spec.b, spec.gens[0], spec.gens[1]) != consts:
-            raise DisagreementError(f"constants fast path != brute force for {spec}")
-        if result.monomials != frozenset(cs.corners):
-            raise DisagreementError(f"basis monomials != corner set for {spec}")
-    if oracle_checked:
+    elif basis is not None:
+        criteria["fourgen_sign"] = fourgen.is_cm(basis.consts)
+    if with_oracle:
         criteria["cone_shift"] = gsw_cm_check(spec, cs)[0]
-        for n in range(hd.stabilization, hd.stabilization + 3):
-            if hilbert_function(spec, n, cs) != hd.value(n):
-                raise DisagreementError(f"Hilbert function != polynomial at n={n} for {spec}")
-    if len(set(criteria.values())) != 1:
-        raise DisagreementError(f"Cohen-Macaulay criteria disagree for {spec}: {criteria}")
-    return {
+    checks = [("cm_agreement", len(set(criteria.values())) == 1,
+               " ".join(f"{k}={_bool(v)}" for k, v in sorted(criteria.items())))]
+    if hf_range is not None:
+        lo, hi = hf_range
+        values = [hilbert_function(spec, n, cs) for n in range(lo, hi + 1)]
+        bad = [n for n, hf in zip(range(lo, hi + 1), values)
+               if (hf == hd.value(n)) != (n >= hd.stabilization)]
+        checks.append((
+            "hilbert_function", not bad,
+            f"HF({lo}..{hi}) = {values}, equals P(n) exactly for n >= {hd.stabilization}",
+        ))
+    if basis is not None:
+        consts = basis.consts
+        if with_oracle:
+            brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
+            checks.append(("constants", brute == consts, f"fast {consts} vs brute force"))
+        checks.append(("basis_equals_corners", basis.monomials == frozenset(cs.corners),
+                       f"basis size {len(basis.pairs)}, corner count {len(cs)}"))
+        if with_oracle:
+            checks.append(("candidate_box_size",
+                           len(fourgen.candidate_box(consts)) == consts.group_order,
+                           f"|B0| vs |H| = {consts.group_order}"))
+    return criteria, checks
+
+
+def _analyze(spec: RingSpec, oracle_checked: bool, budget: int,
+             with_trace: bool) -> tuple[dict, oracle.CornerSet]:
+    """build_report's report and its corner set.  With `oracle_checked` every
+    `verify` check runs, with the Hilbert function checked on N..N+2."""
+    cs = corners(spec, budget)
+    hd = hilbert.hilbert_data(spec, cs)
+    basis = _fourgen_basis(spec)
+    hf_range = (hd.stabilization, hd.stabilization + 2) if oracle_checked else None
+    criteria, checks = run_checks(spec, cs, hd, basis, hf_range, oracle_checked)
+    for name, passed, detail in checks:
+        if not passed:
+            raise DisagreementError(f"check {name} failed for {spec}: {detail}")
+    report = {
         "spec": ring_json(spec),
         "subgroup_size": len(subgroup_classes(spec)),
-        "length": length,
+        "length": len(cs),
         "multiplicity": hd.multiplicity,
         "constant_C": hd.constant,
         "stabilization_N": hd.stabilization,
@@ -122,9 +153,16 @@ def build_report(spec: RingSpec, oracle_checked: bool = False,
         "is_cm": criteria["corner_unique"],
         "criteria": criteria,
         "oracle_checked": oracle_checked,
-        "basis": basis_out,
-        "trace": trace_out,
+        "basis": None if basis is None else [list(v) for v in basis.sorted_monomials()],
+        "trace": [_trace_json(t) for t in basis.trace] if with_trace and basis else None,
     }
+    return report, cs
+
+
+def build_report(spec: RingSpec, oracle_checked: bool = False,
+                 budget: int = DEFAULT_BUDGET, with_trace: bool = False) -> dict:
+    """Full analysis of one ring; raises DisagreementError if a check fails."""
+    return _analyze(spec, oracle_checked, budget, with_trace)[0]
 
 
 def _trace_json(t: fourgen.TraceStep, with_c: bool = False, n: int = 0) -> dict:
@@ -147,8 +185,7 @@ def _bool(v) -> str:
 
 def cmd_analyze(args) -> int:
     spec = parse_ring(args.ring)
-    report = build_report(spec, oracle_checked=args.oracle, budget=args.budget,
-                          with_trace=args.trace)
+    report, cs = _analyze(spec, args.oracle, args.budget, args.trace)
     if args.json:
         _emit_json(report)
     else:
@@ -173,14 +210,13 @@ def cmd_analyze(args) -> int:
                     f"a*={row['a_star']} b*={row['b_star']} g*={row['g_star']} h*={row['h_star']}\n"
                 )
         if args.plot:
-            _plot_corners(spec, args.budget)
+            _plot_corners(cs)
         out.write(f"cohen-macaulay: {'yes' if report['is_cm'] else 'no'}\n")
-    return EXIT_CM if report["is_cm"] else EXIT_NOT_CM
+    return EXIT_OK if report["is_cm"] else EXIT_NOT_CM
 
 
-def _plot_corners(spec: RingSpec, budget: int) -> None:
+def _plot_corners(cs: oracle.CornerSet) -> None:
     """ASCII staircases, one grid per congruence class with several corners."""
-    cs = corners(spec, budget)
     out = sys.stdout
     for cls, grid in cs.grids.items():
         if len(grid) < 2:
@@ -226,19 +262,17 @@ def cmd_basis(args) -> int:
         if args.n is None or args.l is None or args.m is None:
             raise NotFourGen("curve mode needs all of --n, --l, --m")
         cspec = curve.CurveSpec(args.n, args.l, args.m)
-        consts = curve.constants(cspec).to_fourgen()
+        result = curve.basis(cspec)
         label = {"curve": {"n": cspec.n, "l": cspec.l, "m": cspec.m}}
     else:
         if not args.ring:
             raise NotFourGen("need a ring argument or curve flags --n --l --m")
         spec = parse_ring(args.ring)
-        if len(spec.gens) != 2:
-            raise NotFourGen(
-                f"basis needs exactly two middle generators, got {len(spec.gens)}"
-            )
-        consts = fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1])
+        result = _fourgen_basis(spec)
+        if result is None:
+            raise NotFourGen(f"basis needs exactly two middle generators, got {len(spec.gens)}")
         label = {"spec": ring_json(spec)}
-    result = fourgen.monomial_basis(consts)
+    consts = result.consts
     cm = fourgen.is_cm(consts)
     n_for_c = consts.n if curve_mode else 0
 
@@ -279,7 +313,7 @@ def cmd_basis(args) -> int:
         else:
             for alpha, beta in result.sorted_monomials():
                 out.write(f"({alpha},{beta})\n")
-    return EXIT_CM if cm else EXIT_NOT_CM
+    return EXIT_OK if cm else EXIT_NOT_CM
 
 
 def cmd_construct(args) -> int:
@@ -361,59 +395,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def verify_checks(spec: RingSpec, hf_range: tuple[int, int] | None,
-                  budget: int = DEFAULT_BUDGET) -> list[tuple[str, bool, str]]:
-    """Oracle-vs-fast comparisons; every check should pass on every ring."""
-    cs = corners(spec, budget)
-    hd = hilbert.hilbert_data(spec, cs)
-    length = len(cs)
-    checks = []
-
-    verdicts = {
-        "corner_unique": hilbert.is_cm(spec, cs),
-        "length_equals_multiplicity": length == hd.multiplicity,
-        "cone_shift": gsw_cm_check(spec, cs)[0],
-    }
-    consts = None
-    if len(spec.gens) == 2:
-        consts = fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1])
-        verdicts["fourgen_sign"] = fourgen.is_cm(consts)
-    agree = len(set(verdicts.values())) == 1
-    checks.append(("cm_agreement", agree,
-                   " ".join(f"{k}={_bool(v)}" for k, v in sorted(verdicts.items()))))
-
-    if hf_range is not None:
-        lo, hi = hf_range
-        bad = []
-        values = []
-        for n in range(lo, hi + 1):
-            hf = hilbert_function(spec, n, cs)
-            values.append(hf)
-            if (hf == hd.value(n)) != (n >= hd.stabilization):
-                bad.append(n)
-        checks.append((
-            "hilbert_function", not bad,
-            f"HF({lo}..{hi}) = {values}, equals P(n) exactly for n >= {hd.stabilization}",
-        ))
-
-    if consts is not None:
-        brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
-        checks.append(("constants", brute == consts,
-                       f"fast {consts} vs brute force"))
-        result = fourgen.monomial_basis(consts)
-        checks.append(("basis_equals_corners",
-                       result.monomials == frozenset(cs.corners),
-                       f"basis size {len(result.pairs)}, corner count {length}"))
-        checks.append(("candidate_box_size",
-                       len(fourgen.candidate_box(consts)) == consts.group_order,
-                       f"|B0| vs |H| = {consts.group_order}"))
-    return checks
-
-
 def cmd_verify(args) -> int:
     spec = parse_ring(args.ring)
     hf_range = _parse_range(args.hf_range) if args.hf_range else None
-    checks = verify_checks(spec, hf_range, args.budget)
+    cs = corners(spec, args.budget)
+    _, checks = run_checks(spec, cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
     ok = all(passed for _, passed, _ in checks)
     if args.json:
         _emit_json({
@@ -428,13 +414,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_SOFTWARE
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--trace", action="store_true", help="print per-iteration state")
     common.add_argument("--oracle", action="store_true", help="add brute-force cross-checks")
     common.add_argument("--plot", action="store_true", help="ASCII staircase rendering")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="work budget for exact enumerations")
 
     parser = _Parser(prog="sgring",
@@ -496,7 +489,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"sgring: {exc}\n")
         return EXIT_BUDGET
-    except (DisagreementError,) as exc:
+    except (DisagreementError, IdentityViolation, NonTermination) as exc:
         sys.stderr.write(f"sgring: internal disagreement: {exc}\n")
         return EXIT_SOFTWARE
     except SgringError as exc:

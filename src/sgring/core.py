@@ -8,7 +8,6 @@ form the semigroup S spanned over the nonnegative integers by
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
@@ -31,7 +30,8 @@ class RingSpec:
     gens: tuple[Vec, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+        # exactly int: bool is an int subclass, but True is not an exponent
+        if type(self.a) is not int or type(self.b) is not int:
             raise NonPositiveAB(f"a and b must be integers, got {self.a!r}, {self.b!r}")
         if self.a < 1 or self.b < 1:
             raise NonPositiveAB(f"need a >= 1 and b >= 1, got a={self.a}, b={self.b}")
@@ -39,7 +39,7 @@ class RingSpec:
         gens = []
         for g in self.gens:
             p, q = g
-            if not (isinstance(p, int) and isinstance(q, int)) or p < 0 or q < 0:
+            if type(p) is not int or type(q) is not int or p < 0 or q < 0:
                 raise NegativeExponent(f"generator {g!r} has a negative or non-integer exponent")
             if p == 0 and q == 0:
                 raise ZeroGenerator("generator (0, 0) is not allowed")
@@ -89,63 +89,6 @@ def subgroup_classes(spec: RingSpec) -> frozenset[Vec]:
 def weighted_degree(spec: RingSpec, v: Vec) -> int:
     """b*alpha + a*beta; gives x^a and y^b equal degree a*b."""
     return spec.b * v[0] + spec.a * v[1]
-
-
-class _MembershipTable:
-    """Reachability table for S over a rectangle, grown on demand.
-
-    dp[i][j] is True iff (i, j) = (0, 0) or some generator g <= (i, j)
-    componentwise with (i, j) - g again in S.  Regrowing recomputes the
-    whole table; results never change, so the cache is observationally
-    transparent.
-    """
-
-    __slots__ = ("gens", "amax", "bmax", "rows", "_lock")
-
-    def __init__(self, spec: RingSpec):
-        self.gens = ((spec.a, 0), (0, spec.b)) + spec.gens
-        self.amax = -1
-        self.bmax = -1
-        self.rows: list[list[bool]] = []
-        self._lock = threading.Lock()
-
-    def contains(self, alpha: int, beta: int) -> bool:
-        if alpha > self.amax or beta > self.bmax:
-            with self._lock:
-                if alpha > self.amax or beta > self.bmax:
-                    self._grow(max(alpha, self.amax), max(beta, self.bmax))
-        return self.rows[alpha][beta]
-
-    def _grow(self, amax: int, bmax: int) -> None:
-        rows = [[False] * (bmax + 1) for _ in range(amax + 1)]
-        rows[0][0] = True
-        gens = self.gens
-        for i in range(amax + 1):
-            row = rows[i]
-            for j in range(bmax + 1):
-                if row[j]:
-                    continue
-                for gp, gq in gens:
-                    if gp <= i and gq <= j and rows[i - gp][j - gq]:
-                        row[j] = True
-                        break
-        # rows first: a reader that already sees the new bounds must find them
-        self.rows = rows
-        self.amax = amax
-        self.bmax = bmax
-
-
-@lru_cache(maxsize=64)
-def _membership(spec: RingSpec) -> _MembershipTable:
-    return _MembershipTable(spec)
-
-
-def semigroup_contains(spec: RingSpec, v: Vec) -> bool:
-    """True iff v is a nonnegative integer combination of the generators."""
-    alpha, beta = v
-    if alpha < 0 or beta < 0:
-        return False
-    return _membership(spec).contains(alpha, beta)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

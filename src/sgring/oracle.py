@@ -1,14 +1,17 @@
 """Brute-force ground truth for the fast paths.
 
-Corner staircases (the unique monomial basis of R/(x^a, y^b)), direct
-Hilbert-function counting, the bounded cone-shift Cohen-Macaulay check, and
-verbatim minimal searches for the four-generator constants.  Everything here
-is exact; enumerations abort with BudgetExceeded rather than truncate.
+Corner staircases (the unique monomial basis of R/(x^a, y^b)), semigroup
+membership through them, direct Hilbert-function counting, the bounded
+cone-shift Cohen-Macaulay check, and verbatim minimal searches for the
+four-generator constants.  Everything here is exact; enumerations abort
+with BudgetExceeded rather than truncate.
 """
 
 from __future__ import annotations
 
-from .core import RingSpec, order_of
+from bisect import bisect_right
+
+from .core import RingSpec, class_of, order_of
 from .errors import BudgetExceeded, InvalidDN, ZeroGeneratorPair
 from .fourgen import FourGenConstants
 
@@ -93,6 +96,30 @@ def corners(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> CornerSet:
 def length_mod_parameters(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     """dim_k R/(x^a, y^b) = number of corners."""
     return len(corners(spec, budget))
+
+
+def semigroup_contains(
+    spec: RingSpec,
+    v: Vec,
+    corner_set: CornerSet | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """True iff v is a nonnegative integer combination of the generators.
+
+    Subtracting (a, 0) or (0, b) while staying in S ends at a corner, so v
+    lies in S iff it dominates a corner of its class.  Along a class's
+    antichain alpha falls as beta rises, so only the corner with the
+    greatest beta <= v's beta needs testing.
+    """
+    alpha, beta = v
+    if alpha < 0 or beta < 0:
+        return False
+    cs = corner_set if corner_set is not None else corners(spec, budget)
+    column = cs.by_class.get(class_of(spec, v))
+    if column is None:
+        return False
+    i = bisect_right(column, beta, key=lambda c: c[1])
+    return i > 0 and column[i - 1][0] <= alpha
 
 
 def _count_order_n(grid: tuple[Vec, ...], n: int) -> int:

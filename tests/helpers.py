@@ -9,13 +9,7 @@ algorithms must agree with them on every sampled input.
 from itertools import combinations
 from math import prod
 
-from sgring.core import (
-    RingSpec,
-    class_of,
-    lattice_contains,
-    order_of,
-    semigroup_contains,
-)
+from sgring.core import RingSpec, class_of, lattice_contains, order_of
 from sgring.errors import BudgetExceeded
 
 MACAULAY = RingSpec(4, 4, ((3, 1), (1, 3)))
@@ -31,6 +25,31 @@ YDEGS_23_2_18 = (
 )
 
 
+def membership_dp(spec: RingSpec, amax: int, bmax: int):
+    """Membership in S, by the dynamic program, for points up to (amax, bmax).
+
+    (i, j) lies in S iff it is (0, 0) or some generator g <= (i, j)
+    componentwise has (i, j) - g in S.  Returns a predicate on exponent
+    vectors: False off the nonnegative quadrant, IndexError beyond the table.
+    It never looks at the corner set, so it can check corner enumeration.
+    """
+    gens = ((spec.a, 0), (0, spec.b)) + spec.gens
+    rows = [[False] * (bmax + 1) for _ in range(amax + 1)]
+    rows[0][0] = True
+    for i in range(amax + 1):
+        row = rows[i]
+        for j in range(bmax + 1):
+            row[j] = row[j] or any(
+                gp <= i and gq <= j and rows[i - gp][j - gq] for gp, gq in gens
+            )
+
+    def contains(v: tuple[int, int]) -> bool:
+        x, y = v
+        return x >= 0 and y >= 0 and rows[x][y]
+
+    return contains
+
+
 def corners_reference(spec: RingSpec, budget: int = 10_000_000) -> list[tuple[int, int]]:
     """Corner set by literal candidate enumeration.
 
@@ -44,24 +63,24 @@ def corners_reference(spec: RingSpec, budget: int = 10_000_000) -> list[tuple[in
     for (gp, gq), o in zip(spec.gens, ords):
         cands = {(x + i * gp, y + i * gq) for x, y in cands for i in range(o)}
     a, b = spec.a, spec.b
+    member = membership_dp(spec, max(x for x, _ in cands), max(y for _, y in cands))
     out = []
     for x, y in cands:
-        assert semigroup_contains(spec, (x, y))
-        if (x < a or not semigroup_contains(spec, (x - a, y))) and (
-            y < b or not semigroup_contains(spec, (x, y - b))
-        ):
+        assert member((x, y))
+        if (x < a or not member((x - a, y))) and (y < b or not member((x, y - b))):
             out.append((x, y))
     return sorted(out, key=lambda v: (v[1], v[0]))
 
 
-def order_in_powers_reference(spec: RingSpec, v: tuple[int, int]) -> int:
-    """max(i + j) with v - (i*a, j*b) in S, via the membership DP; -1 if v not in S."""
+def order_in_powers_reference(spec: RingSpec, v: tuple[int, int], member) -> int:
+    """max(i + j) with v - (i*a, j*b) in S, via the membership DP `member`
+    (see membership_dp, covering v); -1 if v not in S."""
     a, b = spec.a, spec.b
     x, y = v
     best = -1
     for i in range(x // a + 1):
         for j in range(y // b + 1):
-            if i + j > best and semigroup_contains(spec, (x - i * a, y - j * b)):
+            if i + j > best and member((x - i * a, y - j * b)):
                 best = i + j
     return best
 
@@ -71,10 +90,11 @@ def hilbert_function_reference(spec: RingSpec, n: int) -> int:
     ref = corners_reference(spec)
     amax = max(x for x, _ in ref) + (n + 1) * spec.a
     bmax = max(y for _, y in ref) + (n + 1) * spec.b
+    member = membership_dp(spec, amax, bmax)
     count = 0
     for x in range(amax + 1):
         for y in range(bmax + 1):
-            if order_in_powers_reference(spec, (x, y)) == n:
+            if order_in_powers_reference(spec, (x, y), member) == n:
                 count += 1
     return count
 
@@ -85,15 +105,14 @@ def gsw_reference(spec: RingSpec) -> tuple[bool, tuple[int, int] | None]:
     a, b = spec.a, spec.b
     amax = max(x for x, _ in ref)
     bmax = max(y for _, y in ref)
+    member = membership_dp(spec, amax + a, bmax + b)
     for y in range(-b, bmax + 1):
         for x in range(-a, amax + 1):
             if not lattice_contains(spec, (x, y)):
                 continue
-            if semigroup_contains(spec, (x, y)):
+            if member((x, y)):
                 continue
-            if semigroup_contains(spec, (x + a, y)) and semigroup_contains(
-                spec, (x, y + b)
-            ):
+            if member((x + a, y)) and member((x, y + b)):
                 return False, (x, y)
     return True, None
 

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from sgring import fourgen
 from sgring.cli import main, parse_ring
 from sgring.core import RingSpec
-from sgring.errors import RingSpecError
+from sgring.errors import NonTermination, RingSpecError
 
 MACAULAY_JSON = '{"a":4,"b":4,"gens":[[3,1],[1,3]]}'
 RING_11_JSON = '{"a":2,"b":3,"gens":[[11,1],[1,11]]}'
@@ -77,11 +78,30 @@ def test_analyze_exit_codes_for_errors(capsys):
     assert code == 69
 
 
+def test_bool_exponents_are_bad_input(capsys):
+    code, out, err = run(capsys, "analyze", '{"a":true,"b":true,"gens":[]}')
+    assert code == 65 and out == "" and err
+
+
+def test_internal_guard_exit_code(capsys, monkeypatch):
+    def broken(consts):
+        raise NonTermination("basis loop exceeded its bound")
+
+    monkeypatch.setattr(fourgen, "monomial_basis", broken)
+    code, out, err = run(capsys, "basis", RING_11_JSON)
+    assert code == 70 and out == "" and "exceeded its bound" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 64
     code, _, _ = run(capsys, "batch", "--curves")  # missing --max-n
     assert code == 64
+
+
+def test_negative_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "2,3;1:1", "--budget", "-5")
+    assert code == 64 and out == "" and "budget" in err
 
 
 def test_basis_curve_trace(capsys):
@@ -360,3 +380,14 @@ def test_json_output_pinned(capsys, argv, code, expected):
     got_code, out, err = run(capsys, *argv)
     assert (got_code, err) == (code, "")
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_analyze_oracle_failure_names_the_check(capsys, monkeypatch):
+    from sgring import cli
+
+    monkeypatch.setattr(cli, "fourgen_constants_bruteforce", lambda *args: None)
+    code, out, err = run(capsys, "analyze", MACAULAY_JSON, "--oracle")
+    assert code == 70 and out == "" and "check constants failed" in err
+    # without --oracle no brute-force search runs
+    code, _, _ = run(capsys, "analyze", MACAULAY_JSON)
+    assert code == 3

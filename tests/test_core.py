@@ -1,23 +1,24 @@
 """Core arithmetic: ring validation, classes, membership, degrees."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MACAULAY, small_specs_for_crosscheck
+from helpers import MACAULAY, membership_dp, small_specs_for_crosscheck
 from sgring.core import (
     RingSpec,
     class_of,
     lattice_contains,
     order_of,
-    semigroup_contains,
     subgroup_classes,
     validate,
     weighted_degree,
 )
 from sgring.errors import NegativeExponent, NonPositiveAB, ZeroGenerator
 from sgring.hilbert import hilbert_data, is_cm
-from sgring.oracle import corners
+from sgring.oracle import corners, semigroup_contains
 
 
 def test_validate_known_rings():
@@ -35,6 +36,16 @@ def test_validate_rejects_bad_input():
         validate(2, 3, [(0, 0)])
     with pytest.raises(NegativeExponent):
         validate(2, 3, [(1, -2)])
+
+
+def test_bool_exponents_rejected():
+    # bool is an int subclass; it must not pass as an exponent
+    with pytest.raises(NonPositiveAB):
+        RingSpec(True, 3)
+    with pytest.raises(NonPositiveAB):
+        RingSpec(2, True)
+    with pytest.raises(NegativeExponent):
+        RingSpec(2, 3, ((True, 1),))
 
 
 def test_validate_dedupes_and_keeps_order():
@@ -95,6 +106,21 @@ def test_semigroup_contains_examples():
     assert not semigroup_contains(MACAULAY, (2, 2))
     assert semigroup_contains(MACAULAY, (0, 0))
     assert not semigroup_contains(MACAULAY, (-4, 0))
+
+
+def test_semigroup_contains_matches_dp():
+    for spec in small_specs_for_crosscheck():
+        cs = corners(spec)
+        member = membership_dp(spec, 30, 30)
+        for x in range(-3, 31):
+            for y in range(-3, 31):
+                assert semigroup_contains(spec, (x, y), cs) == member((x, y)), (spec, x, y)
+
+
+def test_semigroup_contains_far_point_is_fast():
+    t0 = time.perf_counter()
+    assert semigroup_contains(MACAULAY, (3000, 3000))
+    assert time.perf_counter() - t0 < 0.1
 
 
 @given(st.data())
