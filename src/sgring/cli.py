@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import curve, fourgen, hilbert, oracle
-from .core import RingSpec, subgroup_classes
+from .core import RingSpec, group_order
 from .errors import (
     BudgetExceeded,
     DisagreementError,
@@ -144,7 +144,7 @@ def _analyze(spec: RingSpec, oracle_checked: bool, budget: int,
             raise DisagreementError(f"check {name} failed for {spec}: {detail}")
     report = {
         "spec": ring_json(spec),
-        "subgroup_size": len(subgroup_classes(spec)),
+        "subgroup_size": hd.multiplicity,
         "length": len(cs),
         "multiplicity": hd.multiplicity,
         "constant_C": hd.constant,
@@ -262,18 +262,25 @@ def cmd_basis(args) -> int:
         if args.n is None or args.l is None or args.m is None:
             raise NotFourGen("curve mode needs all of --n, --l, --m")
         cspec = curve.CurveSpec(args.n, args.l, args.m)
-        result = curve.basis(cspec)
+        spec = RingSpec(cspec.n, cspec.n, cspec.ring_gens())
         label = {"curve": {"n": cspec.n, "l": cspec.l, "m": cspec.m}}
     else:
         if not args.ring:
             raise NotFourGen("need a ring argument or curve flags --n --l --m")
         spec = parse_ring(args.ring)
-        result = _fourgen_basis(spec)
-        if result is None:
+        if len(spec.gens) != 2:
             raise NotFourGen(f"basis needs exactly two middle generators, got {len(spec.gens)}")
         label = {"spec": ring_json(spec)}
-    consts = result.consts
+    # |H| bounds the constants search; a basis has |H| pairs if the ring is
+    # Cohen-Macaulay and at most |H|(|H|+1)/2 otherwise
+    size = group_order(spec)
+    if size > args.budget:
+        raise BudgetExceeded(f"|H| = {size} exceeds the work budget {args.budget}")
+    consts = fourgen.constants(spec.a, spec.b, *spec.gens)
     cm = fourgen.is_cm(consts)
+    if not cm and (pairs := size * (size + 1) // 2) > args.budget:
+        raise BudgetExceeded(f"|H|(|H|+1)/2 = {pairs} exceeds the work budget {args.budget}")
+    result = fourgen.monomial_basis(consts)
     n_for_c = consts.n if curve_mode else 0
 
     if args.json:

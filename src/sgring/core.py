@@ -125,6 +125,12 @@ def _lattice_form(spec: RingSpec) -> tuple[int, int, int]:
     return d1, y1 % d2, d2
 
 
+def group_order(spec: RingSpec) -> int:
+    """|H| = a*b / (d1*d2): the index of (aZ, bZ) in the lattice, in closed form."""
+    d1, _, d2 = _lattice_form(spec)
+    return spec.a * spec.b // (d1 * d2)
+
+
 def lattice_contains(spec: RingSpec, v: Vec) -> bool:
     """True iff v (possibly with negative coordinates) lies in the group
     generated by the exponent vectors of the ring's monomial generators."""

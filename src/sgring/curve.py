@@ -15,7 +15,7 @@ from math import gcd
 from .core import RingSpec
 from .errors import DisagreementError, IdentityViolation, InvalidCurve
 from .fourgen import BasisResult, FourGenConstants, is_cm as _fourgen_is_cm
-from .fourgen import length_bound, monomial_basis
+from .fourgen import constants as fourgen_constants, length_bound, monomial_basis
 from .oracle import DEFAULT_BUDGET, corners, gsw_cm_check
 
 Vec = tuple[int, int]
@@ -39,13 +39,13 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class CurveConstants:
-    """Minimal coefficients of the curve relations, y-parts ci * n.
+    """Four-generator constants of the curve's ring (d = n), y-parts hi = ci*n:
 
         a1*l + b1*m = c1*n     a1, b1 > 0
        -a2*l + b2*m = c2*n     b2 minimal with c2 > 0, 0 <= a2 < n/gcd(l,n)
         a3*l - b3*m = c3*n     a3 minimal with c3 >= 0, 0 <= b3 < n/gcd(m,n)
 
-    The first relation is the sum of the other two.  d = gcd(l, m, n).
+    The first relation is the sum of the other two.  Here d = gcd(l, m, n).
     """
 
     n: int
@@ -82,45 +82,20 @@ class CurveConstants:
         )
 
 
-def constants(spec: CurveSpec) -> CurveConstants:
-    """Minimal searches for the second and third relations; first is their sum."""
-    n, l, m = spec.n, spec.l, spec.m
-    bound_a = n // gcd(l, n)
-    bound_b = n // gcd(m, n)
-
-    a2 = b2 = c2 = None
-    # b = n/gcd(m,n) with a = 0 gives b*m = (m/gcd(m,n))*n > 0, so this hits
-    for b in range(1, bound_b + 1):
-        for a in range(bound_a):
-            r = b * m - a * l
-            if r % n == 0:
-                # sign rule: a nonnegative x-part forces a positive y-part
-                assert not (b - a - r // n >= 0 and r <= 0)
-                if r > 0:
-                    a2, b2, c2 = a, b, r // n
-                    break
-        if c2 is not None:
-            break
-    assert c2 is not None
-
-    a3 = b3 = c3 = None
-    # a = n/gcd(l,n) with b = 0 gives a*l = (l/gcd(l,n))*n >= n
-    for a in range(1, bound_a + 1):
-        for b in range(bound_b):
-            r = a * l - b * m
-            if r >= 0 and r % n == 0:
-                a3, b3, c3 = a, b, r // n
-                break
-        if c3 is not None:
-            break
-    assert c3 is not None
-
+def _curve_form(fg: FourGenConstants) -> CurveConstants:
+    """Read curve constants off four-generator ones with d = n: ci = hi / n."""
+    n, l, m = fg.n, fg.l, fg.m
     return CurveConstants(
         n=n, l=l, m=m, d=gcd(l, m, n),
-        a1=a3 - a2, b1=b2 - b3, c1=c2 + c3,
-        a2=a2, b2=b2, c2=c2,
-        a3=a3, b3=b3, c3=c3,
+        a1=fg.a1, b1=fg.b1, c1=fg.h1 // n,
+        a2=fg.a2, b2=fg.b2, c2=fg.h2 // n,
+        a3=fg.a3, b3=fg.b3, c3=fg.h3 // n,
     )
+
+
+def constants(spec: CurveSpec) -> CurveConstants:
+    """The four-generator constants of the curve's ring, in curve form."""
+    return _curve_form(fourgen_constants(spec.n, spec.n, *spec.ring_gens()))
 
 
 def is_cm(consts: CurveConstants) -> bool:
@@ -179,7 +154,7 @@ def basis(spec: CurveSpec) -> BasisResult:
     stopping rule b* >= a* + c* is the sign rule of the four-generator form.
     Trace rows expose c* as h_star // n.
     """
-    return monomial_basis(constants(spec).to_fourgen())
+    return monomial_basis(fourgen_constants(spec.n, spec.n, *spec.ring_gens()))
 
 
 @dataclass(frozen=True)
@@ -213,8 +188,8 @@ def batch_classify(
         for l in range(1, n):
             for m in range(l + 1, n):
                 spec = CurveSpec(n, l, m)
-                consts = constants(spec)
-                fg = consts.to_fourgen()
+                fg = fourgen_constants(n, n, *spec.ring_gens())
+                consts = _curve_form(fg)
                 verdict = is_cm(consts)
                 closed = special_case_cm(spec)
                 if closed is not None and closed != verdict:

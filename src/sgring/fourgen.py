@@ -9,9 +9,10 @@ an explicit monomial basis from a seed rectangle union.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from math import gcd
 
-from .core import order_of
-from .errors import InvalidDN, NonTermination, ZeroGeneratorPair
+from .errors import InvalidDN, NegativeExponent, NonTermination, ZeroGeneratorPair
 
 Vec = tuple[int, int]
 
@@ -58,12 +59,32 @@ class FourGenConstants:
         return (a * self.e + b * self.f, a * self.l + b * self.m)
 
 
-def constants(d: int, n: int, el: Vec, fm: Vec) -> FourGenConstants:
-    """Compute the relation coefficients by bounded minimal search.
+def _solve(el: Vec, target: Vec, d: int, n: int) -> int | None:
+    """Least a >= 0 with a*(e,l) = target mod (d, n), or None.  Solves a*e = x
+    mod d, then a*l = y mod n for a = a0 + k*(d/g): a CRT over moduli that
+    need not be coprime."""
+    (e, l), (x, y) = el, target
+    g = gcd(e, d)
+    if x % g:
+        return None
+    step = d // g
+    a0 = (x // g) * pow(e // g, -1, step) % step
+    c, r = step * l, y - a0 * l
+    g = gcd(c, n)
+    if r % g:
+        return None
+    period = n // g
+    k = (r // g) * pow(c // g, -1, period) % period
+    return a0 + k * step
 
-    The second and third relations are searched directly; the first is their
-    sum.  For each candidate b (resp. a) the congruence pins the partner
-    coefficient uniquely inside its order range, so the scans are exact.
+
+def constants(d: int, n: int, el: Vec, fm: Vec) -> FourGenConstants:
+    """Compute the relation coefficients by minimal search.
+
+    The second relation walks b = 1, 2, ... and the third a = 1, 2, ...; for
+    each, `_solve` gives the only partner coefficient inside its order range,
+    so each walk is O(ord) and stops at b = ord(f,m), resp. a = ord(e,l).
+    The first relation is their sum.
     """
     if d < 1 or n < 1:
         raise InvalidDN(f"need d, n >= 1, got d={d}, n={n}")
@@ -73,36 +94,24 @@ def constants(d: int, n: int, el: Vec, fm: Vec) -> FourGenConstants:
         raise ZeroGeneratorPair(
             "(f, m) = (0, 0): three-generator rings are always Cohen-Macaulay"
         )
-    e, l = el
-    f, m = fm
-    ord_el = order_of((e % d, l % n), (d, n))
-    ord_fm = order_of((f % d, m % n), (d, n))
+    if min(el + fm) < 0:  # the walks below stop only for nonnegative pairs
+        raise NegativeExponent(f"generator pairs {el}, {fm} need nonnegative entries")
+    (e, l), (f, m) = el, fm
 
-    a2 = b2 = g2 = h2 = None
-    for b in range(1, ord_fm + 1):
-        bf, bm = b * f, b * m
-        for a in range(ord_el):
-            g, h = bf - a * e, bm - a * l
-            if g % d == 0 and h % n == 0 and (g > 0 or h > 0 or (g == 0 and h == 0)):
-                a2, b2, g2, h2 = a, b, g, h
+    for b2 in count(1):
+        a2 = _solve(el, (b2 * f, b2 * m), d, n)
+        if a2 is not None:
+            g2, h2 = b2 * f - a2 * e, b2 * m - a2 * l
+            if g2 > 0 or h2 > 0 or g2 == h2 == 0:
                 break
-        if b2 is not None:
-            break
-    assert b2 is not None  # b = ord(f,m) always qualifies
 
-    a3 = b3 = g3 = h3 = None
-    for a in range(1, ord_el + 1):
-        ae, al = a * e, a * l
-        for b in range(ord_fm):
-            g, h = ae - b * f, al - b * m
-            if g >= 0 and h >= 0 and (g or h) and g % d == 0 and h % n == 0:
-                a3, b3, g3, h3 = a, b, g, h
+    for a3 in count(1):
+        b3 = _solve(fm, (a3 * e, a3 * l), d, n)
+        if b3 is not None:
+            g3, h3 = a3 * e - b3 * f, a3 * l - b3 * m
+            if g3 >= 0 and h3 >= 0 and (g3 or h3):
                 break
-        if a3 is not None:
-            break
-    assert a3 is not None  # a = ord(e,l) always qualifies
 
-    assert a3 > a2 and b2 > b3  # proven for every input pair
     return FourGenConstants(
         d=d, n=n, e=e, l=l, f=f, m=m,
         a1=a3 - a2, b1=b2 - b3, g1=g2 + g3, h1=h2 + h3,

@@ -1,11 +1,14 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import sgring
 from sgring import fourgen
 from sgring.cli import main, parse_ring
 from sgring.core import RingSpec
@@ -97,6 +100,28 @@ def test_usage_error_exit_code(capsys):
     assert code == 64
     code, _, _ = run(capsys, "batch", "--curves")  # missing --max-n
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["2003,1999;1:1,2:5"],
+    ["--n", "100000", "--l", "1", "--m", "2"],
+])
+def test_basis_counts_group_order_against_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basis", *argv, "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == "" and "budget" in err
+
+
+def test_basis_budget_boundary(capsys):
+    # Cohen-Macaulay curve with |H| = 200: its basis is the 200-pair seed box
+    code, out, _ = run(capsys, "basis", "--n", "200", "--l", "1", "--m", "2", "--budget", "200")
+    assert code == 0 and len(out.splitlines()) == 200
+    # not Cohen-Macaulay, |H| = 23: up to 23*24/2 = 276 pairs are counted
+    code, out, _ = run(capsys, "basis", "--n", "23", "--l", "2", "--m", "18", "--budget", "275")
+    assert code == 69 and out == ""
+    code, out, _ = run(capsys, "basis", "--n", "23", "--l", "2", "--m", "18", "--budget", "276")
+    assert code == 3 and len(out.splitlines()) == 41
 
 
 def test_negative_budget_is_usage_error(capsys):
@@ -264,9 +289,13 @@ def test_plot_renders(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same sgring as this process, PYTHONPATH set or not
+    src = os.path.dirname(os.path.dirname(sgring.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sgring", "analyze", "2,3;"],
         capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "cohen-macaulay: yes" in proc.stdout

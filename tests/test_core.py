@@ -10,6 +10,7 @@ from helpers import MACAULAY, membership_dp, small_specs_for_crosscheck
 from sgring.core import (
     RingSpec,
     class_of,
+    group_order,
     lattice_contains,
     order_of,
     subgroup_classes,
@@ -176,6 +177,7 @@ def test_lattice_matches_subgroup_classes():
     # v lies in the group iff its congruence class is generated by the gens
     for spec in small_specs_for_crosscheck():
         group = subgroup_classes(spec)
+        assert group_order(spec) == len(group)
         for x in range(-spec.a, 2 * spec.a + 1):
             for y in range(-spec.b, 2 * spec.b + 1):
                 assert lattice_contains(spec, (x, y)) == ((x % spec.a, y % spec.b) in group)

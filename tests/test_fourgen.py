@@ -1,13 +1,15 @@
 """Four-generator fast paths: constants, seed box, basis algorithm, bounds."""
 
 import random
+import time
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from helpers import VECS_12
-from sgring.core import RingSpec, subgroup_classes
-from sgring.errors import InvalidDN, ZeroGeneratorPair
+from sgring.core import RingSpec, group_order, order_of, subgroup_classes
+from sgring.errors import InvalidDN, NegativeExponent, ZeroGeneratorPair
 from sgring.fourgen import (
     candidate_box,
     constants,
@@ -42,6 +44,8 @@ def test_constants_rejects_bad_input():
         constants(2, 3, (1, 1), (0, 0))
     with pytest.raises(InvalidDN):
         constants(0, 3, (1, 1), (1, 2))
+    with pytest.raises(NegativeExponent):
+        constants(2, 3, (-1, 1), (1, 2))
 
 
 def test_constants_match_bruteforce_sampled():
@@ -68,6 +72,45 @@ def test_constants_match_bruteforce_strided_sweep():
                     fourgen_constants_bruteforce(d, n, el, fm), (d, n, el, fm)
                 count += 1
     assert count > 40000
+
+
+def test_constants_match_bruteforce_larger_moduli():
+    # d, n beyond the sweeps above, half of them with gcd(d, n) > 1, so the
+    # congruence solve meets moduli that are not coprime
+    rng = random.Random(13)
+    checked = shared = 0
+    start = time.perf_counter()
+    while checked < 600:
+        d, n = rng.randint(7, 30), rng.randint(7, 30)
+        if (gcd(d, n) > 1) != (checked % 2 == 0):
+            continue
+        el = (rng.randint(0, 40), rng.randint(0, 40))
+        fm = (rng.randint(0, 40), rng.randint(0, 40))
+        if (0, 0) in (el, fm) or el == fm:
+            continue
+        assert constants(d, n, el, fm) == fourgen_constants_bruteforce(d, n, el, fm), \
+            (d, n, el, fm)
+        checked += 1
+        shared += gcd(d, n) > 1
+    assert shared >= checked // 2
+    assert time.perf_counter() - start < 5.0
+
+
+def test_constants_large_ring():
+    d, n, el, fm = 2003, 1999, (1, 1), (2, 5)
+    start = time.perf_counter()
+    c = constants(d, n, el, fm)
+    assert time.perf_counter() - start < 1.0
+    assert (c.b2, c.a3) == (1334, 5344)
+    assert c.group_order == group_order(RingSpec(d, n, (el, fm)))
+    relations = [(c.a1, c.b1, c.g1, c.h1), (-c.a2, c.b2, c.g2, c.h2),
+                 (c.a3, -c.b3, c.g3, c.h3)]
+    for a, b, g, h in relations:
+        assert c.pair_log(a, b) == (g, h) and g % d == 0 and h % n == 0
+    assert c.a1 > 0 and c.b1 > 0
+    assert 0 <= c.a2 < order_of(el, (d, n)) and 0 <= c.b3 < order_of(fm, (d, n))
+    assert c.g2 > 0 or c.h2 > 0 or c.g2 == c.h2 == 0
+    assert c.g3 >= 0 and c.h3 >= 0 and (c.g3, c.h3) != (0, 0)
 
 
 def test_candidate_box_examples():
