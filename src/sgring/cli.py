@@ -29,7 +29,7 @@ from .errors import (
     RingSpecError,
     SgringError,
 )
-from .oracle import DEFAULT_BUDGET, corners, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
+from .oracle import DEFAULT_BUDGET, corners
 
 EXIT_OK = 0
 EXIT_NOT_CM = 3
@@ -85,51 +85,6 @@ def _fourgen_basis(spec: RingSpec) -> fourgen.BasisResult | None:
     return fourgen.monomial_basis(fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1]))
 
 
-def run_checks(spec: RingSpec, cs: oracle.CornerSet, hd: hilbert.HilbertData,
-               basis: fourgen.BasisResult | None, hf_range: tuple[int, int] | None,
-               with_oracle: bool = True) -> tuple[dict[str, bool], list[tuple[str, bool, str]]]:
-    """The Cohen-Macaulay criteria, which must agree, and the (name, passed,
-    detail) fast-vs-oracle checks, which should all pass on every ring.
-
-    Without `with_oracle` nothing brute-force runs: no cone-shift criterion,
-    no constants or box-size check.
-    """
-    criteria = {
-        "corner_unique": hilbert.is_cm(spec, cs),
-        "length_equals_multiplicity": len(cs) == hd.multiplicity,
-    }
-    if len(spec.gens) <= 1:
-        # at most three monomial generators: always Cohen-Macaulay
-        criteria["few_generators"] = True
-    elif basis is not None:
-        criteria["fourgen_sign"] = fourgen.is_cm(basis.consts)
-    if with_oracle:
-        criteria["cone_shift"] = gsw_cm_check(spec, cs)[0]
-    checks = [("cm_agreement", len(set(criteria.values())) == 1,
-               " ".join(f"{k}={_bool(v)}" for k, v in sorted(criteria.items())))]
-    if hf_range is not None:
-        lo, hi = hf_range
-        values = [hilbert_function(spec, n, cs) for n in range(lo, hi + 1)]
-        bad = [n for n, hf in zip(range(lo, hi + 1), values)
-               if (hf == hd.value(n)) != (n >= hd.stabilization)]
-        checks.append((
-            "hilbert_function", not bad,
-            f"HF({lo}..{hi}) = {values}, equals P(n) exactly for n >= {hd.stabilization}",
-        ))
-    if basis is not None:
-        consts = basis.consts
-        if with_oracle:
-            brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
-            checks.append(("constants", brute == consts, f"fast {consts} vs brute force"))
-        checks.append(("basis_equals_corners", basis.monomials == frozenset(cs.corners),
-                       f"basis size {len(basis.pairs)}, corner count {len(cs)}"))
-        if with_oracle:
-            checks.append(("candidate_box_size",
-                           len(fourgen.candidate_box(consts)) == consts.group_order,
-                           f"|B0| vs |H| = {consts.group_order}"))
-    return criteria, checks
-
-
 def _analyze(spec: RingSpec, oracle_checked: bool, budget: int,
              with_trace: bool) -> tuple[dict, oracle.CornerSet]:
     """build_report's report and its corner set.  With `oracle_checked` every
@@ -138,7 +93,7 @@ def _analyze(spec: RingSpec, oracle_checked: bool, budget: int,
     hd = hilbert.hilbert_data(spec, cs)
     basis = _fourgen_basis(spec)
     hf_range = (hd.stabilization, hd.stabilization + 2) if oracle_checked else None
-    criteria, checks = run_checks(spec, cs, hd, basis, hf_range, oracle_checked)
+    criteria, checks = hilbert.run_checks(spec, cs, hd, basis, hf_range, oracle_checked)
     for name, passed, detail in checks:
         if not passed:
             raise DisagreementError(f"check {name} failed for {spec}: {detail}")
@@ -328,7 +283,8 @@ def cmd_construct(args) -> int:
         class_gens = [(p, q) for p, q in json.loads(args.subgroup_gens)]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise RingSpecError(f"bad --subgroup-gens: {exc}") from exc
-    spec = hilbert.construct_ring(args.a, args.b, class_gens, args.constant, args.stab)
+    spec = hilbert.construct_ring(args.a, args.b, class_gens, args.constant, args.stab,
+                                  args.budget)
     hd = hilbert.hilbert_data(spec, budget=args.budget)
     payload = {
         "spec": ring_json(spec),
@@ -406,7 +362,7 @@ def cmd_verify(args) -> int:
     spec = parse_ring(args.ring)
     hf_range = _parse_range(args.hf_range) if args.hf_range else None
     cs = corners(spec, args.budget)
-    _, checks = run_checks(spec, cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
+    _, checks = hilbert.run_checks(spec, cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
     ok = all(passed for _, passed, _ in checks)
     if args.json:
         _emit_json({

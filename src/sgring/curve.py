@@ -14,9 +14,10 @@ from math import gcd
 
 from .core import RingSpec
 from .errors import DisagreementError, IdentityViolation, InvalidCurve
-from .fourgen import BasisResult, FourGenConstants, is_cm as _fourgen_is_cm
+from .fourgen import BasisResult, FourGenConstants
 from .fourgen import constants as fourgen_constants, length_bound, monomial_basis
-from .oracle import DEFAULT_BUDGET, corners, gsw_cm_check
+from .hilbert import hilbert_data, run_checks
+from .oracle import DEFAULT_BUDGET, corners
 
 Vec = tuple[int, int]
 
@@ -65,9 +66,6 @@ class CurveConstants:
     @property
     def group_order(self) -> int:
         return self.n // self.d
-
-    def h(self, i: int) -> int:
-        return (self.c1, self.c2, self.c3)[i - 1] * self.n
 
     def to_fourgen(self) -> FourGenConstants:
         """The same data in four-generator form (d = n, gens (n-l, l), (n-m, m))."""
@@ -177,9 +175,9 @@ def batch_classify(
     """Classify every curve with 0 < l < m < n <= max_n, rows sorted by (n, l, m).
 
     Each row cross-checks the numeric criterion against the closed-form
-    special cases when one applies; for n <= oracle_up_to the basis monomials
-    are also compared with the brute-force corner set and the bounded
-    cone-shift check.
+    special cases when one applies; for n <= oracle_up_to the ring also runs
+    every `hilbert.run_checks` check, and `oracle_agree` says that all of
+    them passed and that the agreed verdict is the curve's b2 >= a2 + c2.
     """
     if max_n < 3:
         raise InvalidCurve(f"need max_n >= 3, got {max_n}")
@@ -202,11 +200,9 @@ def batch_classify(
                 if n <= oracle_up_to:
                     ring = RingSpec(n, n, spec.ring_gens())
                     cs = corners(ring, budget)
-                    agree = (
-                        result.monomials == frozenset(cs.corners)
-                        and gsw_cm_check(ring, cs)[0] == verdict
-                        and _fourgen_is_cm(fg) == verdict
-                    )
+                    criteria, checks = run_checks(ring, cs, hilbert_data(ring, cs), result, None)
+                    agree = (all(passed for _, passed, _ in checks)
+                             and criteria["corner_unique"] == verdict)
                 rows.append(
                     BatchRow(
                         n=n, l=l, m=m,

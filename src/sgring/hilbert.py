@@ -4,17 +4,19 @@ For each congruence class the corners form a staircase.  The anchor is a
 corner of least weighted degree; walking the staircase rows below it (and,
 mirrored, the columns left of it) yields two ladders whose lengths sum to
 the class's contribution to the Hilbert constant, and whose degree profile
-determines when the Hilbert function settles onto the polynomial.
+determines when the Hilbert function settles onto the polynomial.  Ladders
+are walked on the corner grids, in lattice steps.  `run_checks` is the one
+table of Cohen-Macaulay criteria and fast-vs-oracle checks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import RingSpec, subgroup_classes, weighted_degree
-from .errors import ClassNotInSubgroup, InfeasibleHilbertData, TrivialSubgroup
-from .oracle import DEFAULT_BUDGET, CornerSet, corners
+from . import fourgen
+from .core import RingSpec, group_order, subgroup_classes
+from .errors import BudgetExceeded, ClassNotInSubgroup, InfeasibleHilbertData, TrivialSubgroup
+from .oracle import DEFAULT_BUDGET, CornerSet, corners, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
 Vec = tuple[int, int]
 
@@ -55,16 +57,39 @@ def _max_gap(degs: list[int]) -> int:
     degree does not exceed the current one (index 0 always qualifies);
     the answer is the widest stretch of skipped indices.
     """
-    gap = 0
-    cur = len(degs) - 1
-    while cur > 0:
-        nxt = cur - 1
-        while degs[nxt] > degs[cur]:
-            nxt -= 1
-        if cur - nxt - 1 > gap:
-            gap = cur - nxt - 1
-        cur = nxt
+    gap, cur = 0, len(degs) - 1
+    for nxt in range(cur - 1, -1, -1):
+        if degs[nxt] <= degs[cur]:
+            gap, cur = max(gap, cur - nxt - 1), nxt
     return gap
+
+
+def _ladders(grid: tuple[Vec, ...]) -> tuple[Vec, list[Vec], list[Vec], int, int]:
+    """(anchor, row ladder, column ladder, row gap, column gap) of one class.
+
+    `grid` is the class's antichain in lattice steps, u ascending.  Inside a
+    class the weighted degree is a constant plus a*b*(u + v), so the anchor
+    is the corner of least (u + v, v, u) and the gaps are taken over u + v.
+    Pointer walks give the ladders: row v below the anchor starts at the
+    first corner with v' <= v, column u left of it at the last with u' <= u.
+    """
+    k = min(range(len(grid)), key=lambda i: (grid[i][0] + grid[i][1], grid[i][1]))
+    au, av = grid[k]
+    rows = []
+    j = k
+    for v in range(av - 1, grid[-1][1] - 1, -1):
+        while grid[j][1] > v:
+            j += 1
+        rows.append((grid[j][0], v))
+    cols = []
+    j = k
+    for u in range(au - 1, grid[0][0] - 1, -1):
+        while grid[j][0] > u:
+            j -= 1
+        cols.append((u, grid[j][1]))
+    row_gap = _max_gap([au + av] + [u + v for u, v in rows])
+    col_gap = _max_gap([au + av] + [u + v for u, v in cols])
+    return (au, av), rows, cols, row_gap, col_gap
 
 
 def class_staircase(
@@ -73,58 +98,26 @@ def class_staircase(
     corner_set: CornerSet | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> StaircaseClass:
-    """Build the ladders of one congruence class from the corner set."""
+    """The ladders of one congruence class, as exponent vectors."""
     cs = corner_set if corner_set is not None else corners(spec, budget)
-    cls = (cls[0] % spec.a, cls[1] % spec.b)
-    if cls not in cs.by_class:
-        raise ClassNotInSubgroup(f"class {cls} is not generated by {spec.gens}")
-    cls_corners = cs.by_class[cls]  # beta ascending, alpha descending
     a, b = spec.a, spec.b
+    p, q = cls = (cls[0] % a, cls[1] % b)
+    grid = cs.grids.get(cls)
+    if grid is None:
+        raise ClassNotInSubgroup(f"class {cls} is not generated by {spec.gens}")
+    anchor, rows, cols, row_gap, col_gap = _ladders(grid)
 
-    anchor = min(cls_corners, key=lambda v: (weighted_degree(spec, v), v[1], v[0]))
-    betas = [v[1] for v in cls_corners]
-    alphas_desc = [v[0] for v in cls_corners]
-    min_beta = betas[0]
-    min_alpha = alphas_desc[-1]
-    n_rows = (anchor[1] - min_beta) // b
-    n_cols = (anchor[0] - min_alpha) // a
-
-    # Least monomial on each staircase row below the anchor: the corner of
-    # greatest beta not above the row gives the least alpha there.
-    row_ladder = []
-    for i in range(1, n_rows + 1):
-        row = anchor[1] - i * b
-        idx = bisect_right(betas, row) - 1
-        row_ladder.append((alphas_desc[idx], row))
-
-    # Mirrored for columns left of the anchor.
-    col_ladder = []
-    for i in range(1, n_cols + 1):
-        col = anchor[0] - i * a
-        # corners with alpha <= col form a suffix; its least beta is first
-        lo, hi = 0, len(cls_corners)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if alphas_desc[mid] <= col:
-                hi = mid
-            else:
-                lo = mid + 1
-        col_ladder.append((col, betas[lo]))
-
-    anchor_deg = weighted_degree(spec, anchor)
-    row_degs = [anchor_deg] + [weighted_degree(spec, v) for v in row_ladder]
-    col_degs = [anchor_deg] + [weighted_degree(spec, v) for v in col_ladder]
-    row_gap = _max_gap(row_degs)
-    col_gap = _max_gap(col_degs)
+    def vec(step: Vec) -> Vec:
+        return (p + step[0] * a, q + step[1] * b)
 
     return StaircaseClass(
         cls=cls,
-        anchor=anchor,
-        corners=cls_corners,
-        n_rows=n_rows,
-        n_cols=n_cols,
-        row_ladder=tuple(row_ladder),
-        col_ladder=tuple(col_ladder),
+        anchor=vec(anchor),
+        corners=tuple(vec(c) for c in reversed(grid)),
+        n_rows=len(rows),
+        n_cols=len(cols),
+        row_ladder=tuple(map(vec, rows)),
+        col_ladder=tuple(map(vec, cols)),
         row_gap=row_gap,
         col_gap=col_gap,
         settle=max(row_gap, col_gap),
@@ -163,7 +156,7 @@ def staircases(
 ) -> list[StaircaseClass]:
     """Ladder data for every congruence class, sorted by class."""
     cs = corner_set if corner_set is not None else corners(spec, budget)
-    return [class_staircase(spec, cls, cs) for cls in sorted(cs.by_class)]
+    return [class_staircase(spec, cls, cs) for cls in cs.grids]
 
 
 def hilbert_data(
@@ -175,13 +168,12 @@ def hilbert_data(
     cs = corner_set if corner_set is not None else corners(spec, budget)
     constant = 0
     settle = 0
-    for cls in cs.by_class:
-        sc = class_staircase(spec, cls, cs)
-        constant += sc.n_rows + sc.n_cols
-        if sc.settle > settle:
-            settle = sc.settle
+    for grid in cs.grids.values():
+        _, rows, cols, row_gap, col_gap = _ladders(grid)
+        constant += len(rows) + len(cols)
+        settle = max(settle, row_gap, col_gap)
     return HilbertData(
-        multiplicity=len(cs.by_class), constant=constant, stabilization=settle
+        multiplicity=len(cs.grids), constant=constant, stabilization=settle
     )
 
 
@@ -192,7 +184,53 @@ def is_cm(
 ) -> bool:
     """Cohen-Macaulay iff every congruence class has exactly one corner."""
     cs = corner_set if corner_set is not None else corners(spec, budget)
-    return all(len(v) == 1 for v in cs.by_class.values())
+    return all(len(g) == 1 for g in cs.grids.values())
+
+
+def run_checks(spec: RingSpec, cs: CornerSet, hd: HilbertData,
+               basis: fourgen.BasisResult | None, hf_range: tuple[int, int] | None,
+               with_oracle: bool = True) -> tuple[dict[str, bool], list[tuple[str, bool, str]]]:
+    """The Cohen-Macaulay criteria, which must agree, and the (name, passed,
+    detail) fast-vs-oracle checks, which should all pass on every ring.
+
+    `basis` is the four-generator basis when the ring has two middle
+    generators.  Without `with_oracle` nothing brute-force runs: no
+    cone-shift criterion, no constants or box-size check.
+    """
+    criteria = {
+        "corner_unique": is_cm(spec, cs),
+        "length_equals_multiplicity": len(cs) == hd.multiplicity,
+    }
+    if len(spec.gens) <= 1:
+        # at most three monomial generators: always Cohen-Macaulay
+        criteria["few_generators"] = True
+    elif basis is not None:
+        criteria["fourgen_sign"] = fourgen.is_cm(basis.consts)
+    if with_oracle:
+        criteria["cone_shift"] = gsw_cm_check(spec, cs)[0]
+    checks = [("cm_agreement", len(set(criteria.values())) == 1,
+               " ".join(f"{k}={str(v).lower()}" for k, v in sorted(criteria.items())))]
+    if hf_range is not None:
+        lo, hi = hf_range
+        values = [hilbert_function(spec, n, cs) for n in range(lo, hi + 1)]
+        bad = [n for n, hf in zip(range(lo, hi + 1), values)
+               if (hf == hd.value(n)) != (n >= hd.stabilization)]
+        checks.append((
+            "hilbert_function", not bad,
+            f"HF({lo}..{hi}) = {values}, equals P(n) exactly for n >= {hd.stabilization}",
+        ))
+    if basis is not None:
+        consts = basis.consts
+        if with_oracle:
+            brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
+            checks.append(("constants", brute == consts, f"fast {consts} vs brute force"))
+        checks.append(("basis_equals_corners", basis.monomials == frozenset(cs.corners),
+                       f"basis size {len(basis.pairs)}, corner count {len(cs)}"))
+        if with_oracle:
+            checks.append(("candidate_box_size",
+                           len(fourgen.candidate_box(consts)) == consts.group_order,
+                           f"|B0| vs |H| = {consts.group_order}"))
+    return criteria, checks
 
 
 def construct_ring(
@@ -201,6 +239,7 @@ def construct_ring(
     class_gens,
     constant: int,
     stabilization: int,
+    budget: int = DEFAULT_BUDGET,
 ) -> RingSpec:
     """Build a ring whose parameter ideal has the requested Hilbert data.
 
@@ -213,11 +252,13 @@ def construct_ring(
     every other nonzero class gets a single deep generator.
 
     A stabilization index N >= 1 requires constant > N (the bump lives
-    strictly inside the ladder), so other pairs are rejected.
+    strictly inside the ladder), so other pairs are rejected.  |H| is
+    counted in closed form against `budget` before the classes are listed.
     """
-    group = subgroup_classes(RingSpec(a, b, tuple((p % a, q % b) for p, q in class_gens
-                                                  if (p % a, q % b) != (0, 0))))
-    if group == {(0, 0)}:
+    RingSpec(a, b)  # a, b >= 1 before they serve as moduli
+    h_spec = RingSpec(a, b, tuple({(p % a, q % b) for p, q in class_gens} - {(0, 0)}))
+    size = group_order(h_spec)
+    if size == 1:
         raise TrivialSubgroup("the generated congruence subgroup is trivial")
     if constant < 0 or stabilization < 0:
         raise InfeasibleHilbertData("constant and stabilization must be >= 0")
@@ -226,17 +267,14 @@ def construct_ring(
             f"no ring has Hilbert constant {constant} with stabilization "
             f"{stabilization}: stabilization >= 1 forces constant > stabilization"
         )
+    if size > budget:
+        raise BudgetExceeded(f"|H| = {size} exceeds the work budget {budget}")
+    others = sorted(subgroup_classes(h_spec) - {(0, 0)})
 
     c, s = constant, stabilization
     depth = c + s + 1  # pure-power padding; keeps generator products deep
     span = depth + c + s
-    p0, q0 = min(v for v in group if v != (0, 0))
-
-    gens = []
-    for p, q in sorted(group):
-        if (p, q) != (0, 0):
-            gens.append((p + depth * a, q + span * b))
-    ladder_positions = list(range(c - s)) + [c]
-    for j in ladder_positions:
-        gens.append((p0 + (depth + j) * a, q0 + (span - j) * b))
+    p0, q0 = others[0]
+    gens = [(p + depth * a, q + span * b) for p, q in others]
+    gens += [(p0 + (depth + j) * a, q0 + (span - j) * b) for j in [*range(c - s), c]]
     return RingSpec(a, b, tuple(gens))

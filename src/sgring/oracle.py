@@ -23,32 +23,36 @@ DEFAULT_BUDGET = 10_000_000
 class CornerSet:
     """All monomials of R outside (x^a, y^b), grouped by congruence class.
 
-    corners   -- exponent vectors sorted by (beta, alpha)
-    by_class  -- class -> corners of that class sorted by beta ascending
-                 (equivalently alpha strictly descending: each class is an
-                 antichain)
-    grids     -- class -> ((u, v), ...) with the same corners in lattice
-                 steps from the class representative, u ascending
+    grids is the one stored view: class (p, q), in ascending order ->
+    ((u, v), ...), the class's corners (p + u*a, q + v*b) in lattice steps,
+    u ascending (so v descending: each class is an antichain).  Derived on
+    each access, not cached:
+
+    by_class  -- class -> the class's corners as exponent vectors, beta
+                 ascending (alpha descending)
+    corners   -- every corner as an exponent vector, sorted by (beta, alpha)
+    len()     -- the number of corners
     """
 
-    __slots__ = ("spec", "corners", "by_class", "grids")
+    __slots__ = ("spec", "grids")
 
     def __init__(self, spec: RingSpec, grids: dict[Vec, list[Vec]]):
-        a, b = spec.a, spec.b
         self.spec = spec
         self.grids = {cls: tuple(sorted(g)) for cls, g in sorted(grids.items())}
-        by_class = {}
-        for (p, q), grid in self.grids.items():
-            by_class[(p, q)] = tuple(
-                (p + u * a, q + v * b) for u, v in reversed(grid)
-            )
-        self.by_class = by_class
-        self.corners = tuple(
-            sorted((v for vs in by_class.values() for v in vs), key=lambda v: (v[1], v[0]))
-        )
+
+    @property
+    def by_class(self) -> dict[Vec, tuple[Vec, ...]]:
+        a, b = self.spec.a, self.spec.b
+        return {(p, q): tuple((p + u * a, q + v * b) for u, v in reversed(grid))
+                for (p, q), grid in self.grids.items()}
+
+    @property
+    def corners(self) -> tuple[Vec, ...]:
+        return tuple(sorted((v for vs in self.by_class.values() for v in vs),
+                            key=lambda v: (v[1], v[0])))
 
     def __len__(self) -> int:
-        return len(self.corners)
+        return sum(map(len, self.grids.values()))
 
 
 def _corner_grids(a: int, b: int, gens: tuple[Vec, ...], budget: int) -> dict[Vec, list[Vec]]:
@@ -107,19 +111,19 @@ def semigroup_contains(
     """True iff v is a nonnegative integer combination of the generators.
 
     Subtracting (a, 0) or (0, b) while staying in S ends at a corner, so v
-    lies in S iff it dominates a corner of its class.  Along a class's
-    antichain alpha falls as beta rises, so only the corner with the
-    greatest beta <= v's beta needs testing.
+    lies in S iff it dominates a corner of its class.  Along a class's grid
+    v falls as u rises, so only the last corner with u <= v's u needs
+    testing.
     """
     alpha, beta = v
     if alpha < 0 or beta < 0:
         return False
     cs = corner_set if corner_set is not None else corners(spec, budget)
-    column = cs.by_class.get(class_of(spec, v))
-    if column is None:
+    grid = cs.grids.get(class_of(spec, v))
+    if grid is None:
         return False
-    i = bisect_right(column, beta, key=lambda c: c[1])
-    return i > 0 and column[i - 1][0] <= alpha
+    i = bisect_right(grid, alpha // spec.a, key=lambda c: c[0])
+    return i > 0 and grid[i - 1][1] <= beta // spec.b
 
 
 def _count_order_n(grid: tuple[Vec, ...], n: int) -> int:

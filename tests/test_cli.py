@@ -208,6 +208,22 @@ def test_construct_unrealizable_pair(capsys):
     assert code == 65 and out == "" and "stabilization" in err
 
 
+def test_construct_counts_group_order_against_budget(capsys):
+    # |H| = lcm(501, 500) = 250500 is counted before any class is listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--a", "501", "--b", "500",
+                         "--subgroup-gens", "[[1,1]]", "--constant", "1", "--stab", "0",
+                         "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == "" and "|H|" in err
+
+
+def test_construct_rejects_nonpositive_modulus(capsys):
+    code, out, err = run(capsys, "construct", "--a", "0", "--b", "4",
+                         "--subgroup-gens", "[[1,1]]", "--constant", "2", "--stab", "1")
+    assert code == 65 and out == "" and "a >= 1" in err
+
+
 def test_batch_csv(capsys):
     code, out, _ = run(capsys, "batch", "--curves", "--max-n", "4")
     assert code == 0
@@ -412,9 +428,9 @@ def test_json_output_pinned(capsys, argv, code, expected):
 
 
 def test_analyze_oracle_failure_names_the_check(capsys, monkeypatch):
-    from sgring import cli
+    from sgring import hilbert
 
-    monkeypatch.setattr(cli, "fourgen_constants_bruteforce", lambda *args: None)
+    monkeypatch.setattr(hilbert, "fourgen_constants_bruteforce", lambda *args: None)
     code, out, err = run(capsys, "analyze", MACAULAY_JSON, "--oracle")
     assert code == 70 and out == "" and "check constants failed" in err
     # without --oracle no brute-force search runs

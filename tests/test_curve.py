@@ -140,6 +140,17 @@ def test_batch_oracle_column():
             assert r.oracle_agree is None
 
 
+def test_batch_oracle_column_reports_a_failed_check(monkeypatch):
+    from sgring import hilbert
+
+    cone_shift = hilbert.gsw_cm_check
+    monkeypatch.setattr(hilbert, "gsw_cm_check",
+                        lambda *args: (not cone_shift(*args)[0], None))
+    rows = batch_classify(6, oracle_up_to=5)
+    assert all(r.oracle_agree is False for r in rows if r.n <= 5)
+    assert all(r.oracle_agree is None for r in rows if r.n > 5)
+
+
 def test_batch_differential_run():
     rows = batch_classify(30, oracle_up_to=20)
     assert len(rows) == 4060

@@ -1,6 +1,8 @@
 """Hilbert module: per-class ladders, aggregated polynomial data, constructor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MACAULAY, RING_11, small_specs_for_crosscheck
 from sgring.core import RingSpec, subgroup_classes
@@ -74,6 +76,26 @@ def test_polynomial_matches_function_on_window():
             assert hilbert_function(spec, lo - 1, cs) != hd.value(lo - 1), spec
             # the bound construct_ring's rejections rest on
             assert lo < hd.constant, spec
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_hilbert_data_random_rings(data):
+    a = data.draw(st.integers(1, 10))
+    b = data.draw(st.integers(1, 10))
+    gens = data.draw(st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15)).filter(lambda g: g != (0, 0)),
+        max_size=3, unique=True))
+    spec = RingSpec(a, b, tuple(gens))
+    cs = corners(spec)
+    hd = hilbert_data(spec, cs)
+    big_n = hd.stabilization
+    for n in range(big_n, big_n + 4):
+        assert hilbert_function(spec, n, cs) == hd.value(n), (spec, n)
+    if big_n >= 1:
+        assert hilbert_function(spec, big_n - 1, cs) != hd.value(big_n - 1), spec
+        assert big_n < hd.constant, spec
+    assert hd.multiplicity == len(subgroup_classes(spec))
 
 
 def test_cm_forces_zero_constant_and_stabilization():
