@@ -56,7 +56,6 @@ from .oracle import (
     fourgen_constants_bruteforce,
     gsw_cm_check,
     hilbert_function,
-    length_mod_parameters,
     semigroup_contains,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "is_cm_general",
     "lattice_contains",
     "length_bound",
-    "length_mod_parameters",
     "monomial_basis",
     "order_of",
     "semigroup_contains",

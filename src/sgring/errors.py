@@ -25,7 +25,9 @@ class BudgetExceeded(SgringError):
     """An exact enumeration would exceed the configured work budget.
 
     Raised instead of silently truncating: the oracle never returns an
-    unverified answer.
+    unverified answer.  Corner enumeration counts generator steps, one per
+    corner and middle generator (len(corners) x t in all), and raises
+    before any work when |H| x t alone exceeds the budget.
     """
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import fourgen
 from .core import RingSpec, group_order, subgroup_classes
-from .errors import BudgetExceeded, ClassNotInSubgroup, InfeasibleHilbertData, TrivialSubgroup
+from .errors import BudgetExceeded, ClassNotInSubgroup, InfeasibleHilbertData, RingSpecError, TrivialSubgroup
 from .oracle import DEFAULT_BUDGET, CornerSet, corners, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
 Vec = tuple[int, int]
@@ -252,10 +252,16 @@ def construct_ring(
     every other nonzero class gets a single deep generator.
 
     A stabilization index N >= 1 requires constant > N (the bump lives
-    strictly inside the ladder), so other pairs are rejected.  |H| is
-    counted in closed form against `budget` before the classes are listed.
+    strictly inside the ladder), so other pairs are rejected.  Before the
+    classes are listed, |H| is counted in closed form and the built ring's
+    t = |H| + constant - stabilization - 1 middle generators are counted:
+    |H| x t generator steps, the least its corner enumeration can take, must
+    fit in `budget`.
     """
     RingSpec(a, b)  # a, b >= 1 before they serve as moduli
+    # exactly int before % reduces them: bool is an int subclass
+    if any(type(e) is not int for g in class_gens for e in g):
+        raise RingSpecError(f"subgroup generators must be integer pairs, got {class_gens!r}")
     h_spec = RingSpec(a, b, tuple({(p % a, q % b) for p, q in class_gens} - {(0, 0)}))
     size = group_order(h_spec)
     if size == 1:
@@ -267,11 +273,15 @@ def construct_ring(
             f"no ring has Hilbert constant {constant} with stabilization "
             f"{stabilization}: stabilization >= 1 forces constant > stabilization"
         )
-    if size > budget:
-        raise BudgetExceeded(f"|H| = {size} exceeds the work budget {budget}")
+    c, s = constant, stabilization
+    t = size + c - s - 1  # the gens below, less the repeat of others[0] at j = 0
+    if size * t > budget:
+        raise BudgetExceeded(
+            f"the built ring needs at least |H| x t = {size} x {t} generator steps, "
+            f"over the work budget of {budget}"
+        )
     others = sorted(subgroup_classes(h_spec) - {(0, 0)})
 
-    c, s = constant, stabilization
     depth = c + s + 1  # pure-power padding; keeps generator products deep
     span = depth + c + s
     p0, q0 = others[0]

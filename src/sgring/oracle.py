@@ -9,9 +9,10 @@ with BudgetExceeded rather than truncate.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 
-from .core import RingSpec, class_of, order_of
+from .core import RingSpec, class_of, group_order, order_of
 from .errors import BudgetExceeded, InvalidDN, ZeroGeneratorPair
 from .fourgen import FourGenConstants
 
@@ -25,8 +26,9 @@ class CornerSet:
 
     grids is the one stored view: class (p, q), in ascending order ->
     ((u, v), ...), the class's corners (p + u*a, q + v*b) in lattice steps,
-    u ascending (so v descending: each class is an antichain).  Derived on
-    each access, not cached:
+    u ascending (so v descending: each class is an antichain); the
+    constructor takes each grid already in that order.  Derived on each
+    access, not cached:
 
     by_class  -- class -> the class's corners as exponent vectors, beta
                  ascending (alpha descending)
@@ -38,7 +40,7 @@ class CornerSet:
 
     def __init__(self, spec: RingSpec, grids: dict[Vec, list[Vec]]):
         self.spec = spec
-        self.grids = {cls: tuple(sorted(g)) for cls, g in sorted(grids.items())}
+        self.grids = {cls: tuple(g) for cls, g in sorted(grids.items())}
 
     @property
     def by_class(self) -> dict[Vec, tuple[Vec, ...]]:
@@ -55,51 +57,53 @@ class CornerSet:
         return sum(map(len, self.grids.values()))
 
 
-def _corner_grids(a: int, b: int, gens: tuple[Vec, ...], budget: int) -> dict[Vec, list[Vec]]:
+def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
     """Per-class minimal points of S, in lattice steps (u, v) off the class rep.
 
-    Worklist closure over sums of middle generators: a sum is kept only while
-    no already-known point of its class lies componentwise below it, which is
-    exactly the condition for being outside (x^a, y^b).  Pure-power steps
-    never appear in a minimal sum, so only middle generators are expanded.
-    Work is bounded by `budget` insertions.
+    Every corner is a sum of middle generators, and a corner minus one of its
+    summands is again a corner (if c' - (a, 0) were in S, so would be
+    c - (a, 0)).  So candidates leave a heap in increasing alpha + beta, and
+    a popped point is a corner iff no corner already found in its class lies
+    componentwise below it: any such point has smaller alpha + beta.  Only
+    corners are expanded, and each class's grid is built in u order.  A
+    point pushed twice is rejected by the same test when popped again.
+
+    Work is counted in generator steps, one per corner + g formed: in all
+    |corners| x |gens|, which bounds time and the heap size.  Every class of
+    H has a corner, so |H| x |gens| steps above `budget` raise before any
+    work.
     """
-    mins: dict[Vec, list[Vec]] = {(0, 0): [(0, 0)]}
-    stack: list[Vec] = [(0, 0)]
+    a, b, gens = spec.a, spec.b, spec.gens
+    t = len(gens)
+    if (h := group_order(spec)) * t > budget:
+        raise BudgetExceeded(
+            f"corner enumeration needs at least |H| x t = {h} x {t} "
+            f"generator steps, over the work budget of {budget}"
+        )
+    grids: dict[Vec, list[Vec]] = {}
+    heap = [(0, 0, 0)]
     steps = 0
-    while stack:
-        x, y = stack.pop()
+    while heap:
+        _, x, y = heappop(heap)
+        grid = grids.setdefault((x % a, y % b), [])
+        u, v = x // a, y // b
+        i = bisect_left(grid, (u + 1,))  # corners with u' <= u precede i
+        if i and grid[i - 1][1] <= v:
+            continue
+        grid.insert(i, (u, v))
+        steps += t
+        if steps > budget:
+            raise BudgetExceeded(
+                f"corner enumeration exceeded the work budget of {budget} generator steps"
+            )
         for gp, gq in gens:
-            wa, wb = x + gp, y + gq
-            cls = (wa % a, wb % b)
-            lst = mins.get(cls)
-            if lst is None:
-                mins[cls] = [(wa, wb)]
-            else:
-                if any(ea <= wa and eb <= wb for ea, eb in lst):
-                    continue
-                lst[:] = [e for e in lst if not (wa <= e[0] and wb <= e[1])]
-                lst.append((wa, wb))
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(
-                    f"corner enumeration exceeded budget of {budget} insertions"
-                )
-            stack.append((wa, wb))
-    return {
-        cls: [((va - cls[0]) // a, (vb - cls[1]) // b) for va, vb in lst]
-        for cls, lst in mins.items()
-    }
+            heappush(heap, (x + y + gp + gq, x + gp, y + gq))
+    return grids
 
 
 def corners(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> CornerSet:
     """Enumerate the complete corner set of the ring."""
-    return CornerSet(spec, _corner_grids(spec.a, spec.b, spec.gens, budget))
-
-
-def length_mod_parameters(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
-    """dim_k R/(x^a, y^b) = number of corners."""
-    return len(corners(spec, budget))
+    return CornerSet(spec, _corner_grids(spec, budget))
 
 
 def semigroup_contains(

@@ -50,6 +50,43 @@ def membership_dp(spec: RingSpec, amax: int, bmax: int):
     return contains
 
 
+def corner_grids_worklist(a: int, b: int, gens, budget: int = 10_000_000) -> dict:
+    """Per-class minimal points of S, in lattice steps (u, v) off the class rep.
+
+    The earlier production enumeration, kept as a reference for rings too
+    large for corners_reference: a LIFO worklist closure over sums of middle
+    generators, where a sum is kept only while no already-known point of
+    its class lies componentwise below it.  Grids come out unsorted.  Work
+    is bounded by `budget` insertions.
+    """
+    mins: dict = {(0, 0): [(0, 0)]}
+    stack = [(0, 0)]
+    steps = 0
+    while stack:
+        x, y = stack.pop()
+        for gp, gq in gens:
+            wa, wb = x + gp, y + gq
+            cls = (wa % a, wb % b)
+            lst = mins.get(cls)
+            if lst is None:
+                mins[cls] = [(wa, wb)]
+            else:
+                if any(ea <= wa and eb <= wb for ea, eb in lst):
+                    continue
+                lst[:] = [e for e in lst if not (wa <= e[0] and wb <= e[1])]
+                lst.append((wa, wb))
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(
+                    f"corner enumeration exceeded budget of {budget} insertions"
+                )
+            stack.append((wa, wb))
+    return {
+        cls: [((va - cls[0]) // a, (vb - cls[1]) // b) for va, vb in lst]
+        for cls, lst in mins.items()
+    }
+
+
 def corners_reference(spec: RingSpec, budget: int = 10_000_000) -> list[tuple[int, int]]:
     """Corner set by literal candidate enumeration.
 

@@ -218,6 +218,23 @@ def test_construct_counts_group_order_against_budget(capsys):
     assert code == 69 and out == "" and "|H|" in err
 
 
+def test_construct_counts_generator_steps_against_budget(capsys):
+    # |H| = 3540 fits the default budget, but the built ring's corner
+    # enumeration needs at least |H| x t = 3540 x 3540 generator steps
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--a", "60", "--b", "59",
+                         "--subgroup-gens", "[[1,1]]", "--constant", "1", "--stab", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == "" and "generator steps" in err
+
+
+@pytest.mark.parametrize("gens", ['[["x",1]]', "[[true,1]]"])
+def test_construct_rejects_non_integer_subgroup_gens(capsys, gens):
+    code, out, err = run(capsys, "construct", "--a", "3", "--b", "4",
+                         "--subgroup-gens", gens, "--constant", "1", "--stab", "0")
+    assert code == 65 and out == "" and "integer" in err
+
+
 def test_construct_rejects_nonpositive_modulus(capsys):
     code, out, err = run(capsys, "construct", "--a", "0", "--b", "4",
                          "--subgroup-gens", "[[1,1]]", "--constant", "2", "--stab", "1")

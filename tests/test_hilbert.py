@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import MACAULAY, RING_11, small_specs_for_crosscheck
 from sgring.core import RingSpec, subgroup_classes
-from sgring.errors import ClassNotInSubgroup, InfeasibleHilbertData, TrivialSubgroup
+from sgring.errors import BudgetExceeded, ClassNotInSubgroup, InfeasibleHilbertData, TrivialSubgroup
 from sgring.hilbert import (
     class_staircase,
     construct_ring,
@@ -14,7 +14,7 @@ from sgring.hilbert import (
     is_cm,
     staircases,
 )
-from sgring.oracle import corners, gsw_cm_check, hilbert_function, length_mod_parameters
+from sgring.oracle import corners, gsw_cm_check, hilbert_function
 
 
 def test_staircase_macaulay_class():
@@ -165,7 +165,16 @@ def test_construct_roundtrip_sample():
                 group = subgroup_classes(spec)
                 assert (hd.multiplicity, hd.constant, hd.stabilization) == (len(group), c, m)
                 extra = c if m == 0 else c - m
-                assert length_mod_parameters(spec) == len(group) + extra
+                assert len(corners(spec)) == len(group) + extra
+                assert len(spec.gens) == len(group) + c - m - 1
+
+
+def test_construct_counts_generator_steps_against_budget():
+    # |H| = 6 and t = 6 + 4 - 1 - 1 = 8 middle generators: 48 steps at least
+    spec = construct_ring(2, 3, [(1, 1)], 4, 1, budget=48)
+    assert len(spec.gens) == 8
+    with pytest.raises(BudgetExceeded):
+        construct_ring(2, 3, [(1, 1)], 4, 1, budget=47)
 
 
 def test_construct_length():
@@ -173,4 +182,4 @@ def test_construct_length():
     for c, m in [(0, 0), (2, 0), (2, 1), (4, 3)]:
         spec = construct_ring(2, 3, [(1, 1)], c, m)
         extra = c - m if m else c
-        assert length_mod_parameters(spec) == 6 + extra
+        assert len(corners(spec)) == 6 + extra

@@ -5,6 +5,8 @@ reference implementations from helpers.py (candidate products, region
 scans, DP membership).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from helpers import (
     MACAULAY,
     RING_7,
     RING_11,
+    corner_grids_worklist,
     corners_reference,
     gsw_reference,
     hilbert_function_reference,
@@ -25,7 +28,6 @@ from sgring.oracle import (
     fourgen_constants_bruteforce,
     gsw_cm_check,
     hilbert_function,
-    length_mod_parameters,
 )
 
 
@@ -49,9 +51,9 @@ def test_corners_triangular_example():
 
 
 def test_length_examples():
-    assert length_mod_parameters(MACAULAY) == 5
-    assert length_mod_parameters(RING_7) == 21
-    assert length_mod_parameters(RingSpec(2, 3, ())) == 1
+    assert len(corners(MACAULAY)) == 5
+    assert len(corners(RING_7)) == 21
+    assert len(corners(RingSpec(2, 3, ()))) == 1
 
 
 def test_corner_classes_are_antichains():
@@ -86,6 +88,21 @@ def test_corners_match_reference_random(data):
     )
     spec = RingSpec(a, b, tuple(gens))
     assert list(corners(spec).corners) == corners_reference(spec)
+
+
+def test_corners_match_worklist_on_larger_rings():
+    # rings shaped like the large_rings bench items, too big for
+    # corners_reference; the earlier worklist enumeration is the reference
+    rng = random.Random(20261018)
+    for _ in range(200):
+        a, b = rng.randint(12, 30), rng.randint(12, 30)
+        gens = ((1, b - 1), (a - 1, 1),
+                (rng.randrange(1, a), rng.randrange(1, b)),
+                (rng.randrange(1, a), rng.randrange(1, b)))
+        spec = RingSpec(a, b, gens)
+        ref = corner_grids_worklist(a, b, spec.gens)
+        expected = {cls: tuple(sorted(grid)) for cls, grid in sorted(ref.items())}
+        assert corners(spec).grids == expected, spec
 
 
 def test_hilbert_function_examples():
@@ -139,13 +156,48 @@ def test_gsw_matches_reference_random(data):
 
 def test_gsw_agrees_with_length_criterion():
     for spec in small_specs_for_crosscheck():
-        cm = length_mod_parameters(spec) == len(subgroup_classes(spec))
+        cm = len(corners(spec)) == len(subgroup_classes(spec))
         assert gsw_cm_check(spec)[0] == cm
 
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         corners(RING_11, budget=3)
+
+
+def _assert_budget_is_generator_steps(spec):
+    # one generator step per corner + g formed: exactly |corners| x |gens|
+    steps = len(corners(spec)) * len(spec.gens)
+    assert len(corners(spec, budget=steps)) * len(spec.gens) == steps
+    with pytest.raises(BudgetExceeded):
+        corners(spec, budget=steps - 1)
+
+
+def test_budget_counts_generator_steps():
+    _assert_budget_is_generator_steps(MACAULAY)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_budget_counts_generator_steps_random(data):
+    a = data.draw(st.integers(1, 10))
+    b = data.draw(st.integers(1, 10))
+    gens = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15)).filter(lambda g: g != (0, 0)),
+            min_size=0,
+            max_size=3,
+            unique=True,
+        )
+    )
+    _assert_budget_is_generator_steps(RingSpec(a, b, tuple(gens)))
+
+
+def test_budget_counts_group_order_before_work():
+    # |H| = 250500 classes each need a corner: 2 x 250500 steps at least
+    spec = RingSpec(501, 500, ((1, 1), (2, 3)))
+    with pytest.raises(BudgetExceeded, match="250500"):
+        corners(spec, budget=2 * 250500 - 1)
 
 
 def test_bruteforce_constants_examples():
