@@ -6,15 +6,7 @@ ideal (x^a, y^b), and produce the monomial basis of R/(x^a, y^b).  Every
 fast path is validated against a brute-force oracle.
 """
 
-from .core import (
-    RingSpec,
-    class_of,
-    lattice_contains,
-    order_of,
-    subgroup_classes,
-    validate,
-    weighted_degree,
-)
+from .core import RingSpec, class_of, order_of, subgroup_classes
 from .curve import CurveConstants, CurveSpec, batch_classify, special_case_cm
 from .curve import basis as curve_basis
 from .curve import constants as curve_constants
@@ -22,7 +14,6 @@ from .curve import determinant_identities
 from .curve import is_cm as is_cm_curve
 from .errors import (
     BudgetExceeded,
-    ClassNotInSubgroup,
     DisagreementError,
     InfeasibleHilbertData,
     InvalidCurve,
@@ -40,14 +31,7 @@ from .errors import (
 from .fourgen import BasisResult, FourGenConstants, TraceStep, candidate_box, length_bound, monomial_basis
 from .fourgen import constants as fourgen_constants
 from .fourgen import is_cm as is_cm_fourgen
-from .hilbert import (
-    HilbertData,
-    StaircaseClass,
-    class_staircase,
-    construct_ring,
-    hilbert_data,
-    staircases,
-)
+from .hilbert import HilbertData, construct_ring, hilbert_data
 from .hilbert import is_cm as is_cm_general
 from .oracle import (
     DEFAULT_BUDGET,
@@ -64,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisResult",
     "BudgetExceeded",
-    "ClassNotInSubgroup",
     "CornerSet",
     "CurveConstants",
     "CurveSpec",
@@ -82,7 +65,6 @@ __all__ = [
     "RingSpec",
     "RingSpecError",
     "SgringError",
-    "StaircaseClass",
     "TraceStep",
     "TrivialSubgroup",
     "ZeroGenerator",
@@ -90,7 +72,6 @@ __all__ = [
     "batch_classify",
     "candidate_box",
     "class_of",
-    "class_staircase",
     "construct_ring",
     "corners",
     "curve_basis",
@@ -104,14 +85,10 @@ __all__ = [
     "is_cm_curve",
     "is_cm_fourgen",
     "is_cm_general",
-    "lattice_contains",
     "length_bound",
     "monomial_basis",
     "order_of",
     "semigroup_contains",
     "special_case_cm",
-    "staircases",
     "subgroup_classes",
-    "validate",
-    "weighted_degree",
 ]

@@ -85,10 +85,11 @@ def _fourgen_basis(spec: RingSpec) -> fourgen.BasisResult | None:
     return fourgen.monomial_basis(fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1]))
 
 
-def _analyze(spec: RingSpec, oracle_checked: bool, budget: int,
-             with_trace: bool) -> tuple[dict, oracle.CornerSet]:
-    """build_report's report and its corner set.  With `oracle_checked` every
-    `verify` check runs, with the Hilbert function checked on N..N+2."""
+def build_report(spec: RingSpec, oracle_checked: bool = False, budget: int = DEFAULT_BUDGET,
+                 with_trace: bool = False) -> tuple[dict, oracle.CornerSet]:
+    """Full analysis of one ring, and its corner set; raises DisagreementError
+    if a check fails.  With `oracle_checked` every `verify` check runs, with
+    the Hilbert function checked on N..N+2."""
     cs = corners(spec, budget)
     hd = hilbert.hilbert_data(spec, cs)
     basis = _fourgen_basis(spec)
@@ -114,12 +115,6 @@ def _analyze(spec: RingSpec, oracle_checked: bool, budget: int,
     return report, cs
 
 
-def build_report(spec: RingSpec, oracle_checked: bool = False,
-                 budget: int = DEFAULT_BUDGET, with_trace: bool = False) -> dict:
-    """Full analysis of one ring; raises DisagreementError if a check fails."""
-    return _analyze(spec, oracle_checked, budget, with_trace)[0]
-
-
 def _trace_json(t: fourgen.TraceStep, with_c: bool = False, n: int = 0) -> dict:
     row = {
         "branch": t.branch, "base": t.base, "a_star": t.a_star, "b_star": t.b_star,
@@ -140,7 +135,7 @@ def _bool(v) -> str:
 
 def cmd_analyze(args) -> int:
     spec = parse_ring(args.ring)
-    report, cs = _analyze(spec, args.oracle, args.budget, args.trace)
+    report, cs = build_report(spec, args.oracle, args.budget, args.trace)
     if args.json:
         _emit_json(report)
     else:
@@ -255,18 +250,13 @@ def cmd_basis(args) -> int:
     else:
         out = sys.stdout
         if args.trace:
-            if curve_mode:
-                out.write(f"init  |B|={result.initial_size} base={consts.a1} "
-                          f"a*={consts.a2} b*={consts.b2} c*={consts.h2 // consts.n}\n")
-                for t in result.trace:
-                    out.write(f"rule{t.branch} |B|={t.size} base={t.base} "
-                              f"a*={t.a_star} b*={t.b_star} c*={t.h_star // consts.n}\n")
-            else:
-                out.write(f"init  |B|={result.initial_size} base={consts.a1} "
-                          f"a*={consts.a2} b*={consts.b2} g*={consts.g2} h*={consts.h2}\n")
-                for t in result.trace:
-                    out.write(f"rule{t.branch} |B|={t.size} base={t.base} "
-                              f"a*={t.a_star} b*={t.b_star} g*={t.g_star} h*={t.h_star}\n")
+            rows = [("init ", result.initial_size, consts.a1, consts.a2, consts.b2,
+                     consts.g2, consts.h2)]
+            rows += [(f"rule{t.branch}", t.size, t.base, t.a_star, t.b_star, t.g_star, t.h_star)
+                     for t in result.trace]
+            for name, size, base, a_star, b_star, g, h in rows:
+                tail = f"c*={h // consts.n}" if curve_mode else f"g*={g} h*={h}"
+                out.write(f"{name} |B|={size} base={base} a*={a_star} b*={b_star} {tail}\n")
         if args.plot:
             _plot_pairs(result)
         if args.log:
@@ -387,22 +377,23 @@ def _budget(text: str) -> int:
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--trace", action="store_true", help="print per-iteration state")
-    common.add_argument("--oracle", action="store_true", help="add brute-force cross-checks")
-    common.add_argument("--plot", action="store_true", help="ASCII staircase rendering")
     common.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="work budget for exact enumerations")
+    views = argparse.ArgumentParser(add_help=False)  # analyze and basis only
+    views.add_argument("--trace", action="store_true", help="print per-iteration state")
+    views.add_argument("--plot", action="store_true", help="ASCII staircase rendering")
 
     parser = _Parser(prog="sgring",
                      description="Cohen-Macaulay analysis of k[x^a, x^p1 y^q1, ..., y^b]")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, views],
                        help="length, multiplicity, Hilbert data, CM verdict")
     p.add_argument("ring", help="ring as JSON or 'A,B;p1:q1,...'")
+    p.add_argument("--oracle", action="store_true", help="add brute-force cross-checks")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("basis", parents=[common],
+    p = sub.add_parser("basis", parents=[common, views],
                        help="monomial basis of R/(x^a, y^b) for 4-generator rings and curves")
     p.add_argument("ring", nargs="?", help="ring with exactly two middle generators")
     p.add_argument("--n", type=int, help="curve: y-power")

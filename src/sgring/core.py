@@ -9,7 +9,6 @@ form the semigroup S spanned over the nonnegative integers by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import NegativeExponent, NonPositiveAB, ZeroGenerator
@@ -53,11 +52,6 @@ class RingSpec:
         return (self.a, self.b)
 
 
-def validate(a: int, b: int, gens) -> RingSpec:
-    """Canonicalize raw ring data, raising a structured error when invalid."""
-    return RingSpec(a, b, tuple((p, q) for p, q in gens))
-
-
 def class_of(spec: RingSpec, v: Vec) -> Vec:
     """Canonical residue (alpha mod a, beta mod b) of an exponent vector."""
     return (v[0] % spec.a, v[1] % spec.b)
@@ -86,11 +80,6 @@ def subgroup_classes(spec: RingSpec) -> frozenset[Vec]:
     return frozenset(seen)
 
 
-def weighted_degree(spec: RingSpec, v: Vec) -> int:
-    """b*alpha + a*beta; gives x^a and y^b equal degree a*b."""
-    return spec.b * v[0] + spec.a * v[1]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
     s, next_s = 1, 0
@@ -106,7 +95,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, t
 
 
-@lru_cache(maxsize=256)
 def _lattice_form(spec: RingSpec) -> tuple[int, int, int]:
     """Hermite form (d1, y1, d2) of the Z-span of {(a,0), (0,b)} + gens.
 
@@ -129,13 +117,3 @@ def group_order(spec: RingSpec) -> int:
     """|H| = a*b / (d1*d2): the index of (aZ, bZ) in the lattice, in closed form."""
     d1, _, d2 = _lattice_form(spec)
     return spec.a * spec.b // (d1 * d2)
-
-
-def lattice_contains(spec: RingSpec, v: Vec) -> bool:
-    """True iff v (possibly with negative coordinates) lies in the group
-    generated by the exponent vectors of the ring's monomial generators."""
-    x, y = v
-    d1, y1, d2 = _lattice_form(spec)
-    if x % d1:
-        return False
-    return (y - (x // d1) * y1) % d2 == 0

@@ -31,10 +31,6 @@ class BudgetExceeded(SgringError):
     """
 
 
-class ClassNotInSubgroup(SgringError, ValueError):
-    """A congruence class outside the subgroup generated by the ring."""
-
-
 class TrivialSubgroup(SgringError, ValueError):
     """The ring constructor requires a nontrivial congruence subgroup."""
 

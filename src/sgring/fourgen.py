@@ -184,16 +184,20 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
 
     State (base, a*, b*, g*, h*) starts at (a1, a2, b2, g2, h2) and each
     iteration fires exactly one of three rules, appending a block of rows
-    above the current b*.  All updates in a rule read pre-iteration values
-    (in rule 6 the new base is a1 minus the old a*).  The loop provably
-    stops within a3 <= |H| iterations; the guard only trips on a bug.
+    at row b*.  Every block starts at a = 0 and b* is always the number of
+    rows so far, so the basis is kept as one width per row: row b holds the
+    pairs (a, b) with a < widths[b].  All updates in a rule read
+    pre-iteration values (in rule 6 the new base is a1 minus the old a*).
+    The loop provably stops within a3 <= |H| iterations; the guard only
+    trips on a bug.
     """
     a1, b1, g1, h1 = consts.a1, consts.b1, consts.g1, consts.h1
     a2, b2, g2, h2 = consts.a2, consts.b2, consts.g2, consts.h2
     limit = consts.group_order + 1
 
-    pairs = set(candidate_box(consts))
-    initial_size = len(pairs)
+    # the seed box: a < a3 on rows b < b1, a < a1 on rows b1 <= b < b2
+    widths = [consts.a3] * b1 + [a1] * (b2 - b1)
+    initial_size = size = sum(widths)
     base, a_star, b_star, g_star, h_star = a1, a2, b2, g2, h2
     trace: list[TraceStep] = []
 
@@ -204,35 +208,29 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
             )
         assert base >= 1  # loop invariant; rules are exclusive only then
         if a_star >= a1:
-            branch = 4
-            new = {(u, b_star + v) for u in range(base) for v in range(b1)}
+            branch, block = 4, [base] * b1
             a_star, b_star = a_star - a1, b_star + b1
             g_star, h_star = g_star + g1, h_star + h1
-        elif a_star <= a1 - base:
-            branch = 5
-            new = {(u, b_star + v) for u in range(base) for v in range(b2)}
-            a_star, b_star = a_star + a2, b_star + b2
-            g_star, h_star = g_star + g2, h_star + h2
         else:
-            branch = 6
-            new = {(u, b_star + v) for u in range(base) for v in range(b1)}
-            new.update(
-                (u, b_star + v) for u in range(a1 - a_star) for v in range(b2)
-            )
-            base = a1 - a_star
+            if a_star <= a1 - base:
+                branch, block = 5, [base] * b2
+            else:
+                branch, block = 6, [base] * b1 + [a1 - a_star] * (b2 - b1)
+                base = a1 - a_star
             a_star, b_star = a_star + a2, b_star + b2
             g_star, h_star = g_star + g2, h_star + h2
-        added = len(new - pairs)
-        pairs |= new
+        widths += block
+        added = sum(block)
+        size += added
         trace.append(
-            TraceStep(branch, base, a_star, b_star, g_star, h_star, added, len(pairs))
+            TraceStep(branch, base, a_star, b_star, g_star, h_star, added, size)
         )
 
-    monomials = frozenset(consts.pair_log(a, b) for a, b in pairs)
+    pairs = frozenset((a, b) for b, w in enumerate(widths) for a in range(w))
     return BasisResult(
         consts=consts,
-        pairs=frozenset(pairs),
-        monomials=monomials,
+        pairs=pairs,
+        monomials=frozenset(consts.pair_log(a, b) for a, b in pairs),
         initial_size=initial_size,
         trace=tuple(trace),
     )

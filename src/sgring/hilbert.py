@@ -15,39 +15,10 @@ from dataclasses import dataclass
 
 from . import fourgen
 from .core import RingSpec, group_order, subgroup_classes
-from .errors import BudgetExceeded, ClassNotInSubgroup, InfeasibleHilbertData, RingSpecError, TrivialSubgroup
+from .errors import BudgetExceeded, InfeasibleHilbertData, RingSpecError, TrivialSubgroup
 from .oracle import DEFAULT_BUDGET, CornerSet, corners, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
 Vec = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class StaircaseClass:
-    """Ladder data of one congruence class.
-
-    anchor     -- corner of minimal weighted degree (ties: least beta, then
-                  least alpha)
-    corners    -- the class's corners, beta ascending
-    n_rows     -- rows below the anchor that still meet the staircase
-    n_cols     -- columns left of the anchor, mirrored
-    row_ladder -- per row below the anchor, the least monomial on that row
-    col_ladder -- per column left of the anchor, the least monomial there
-    row_gap    -- largest run of rows whose ladder degree exceeds both ends
-    col_gap    -- mirrored
-    settle     -- max(row_gap, col_gap): this class's contribution to the
-                  Hilbert function is constant from that index on
-    """
-
-    cls: Vec
-    anchor: Vec
-    corners: tuple[Vec, ...]
-    n_rows: int
-    n_cols: int
-    row_ladder: tuple[Vec, ...]
-    col_ladder: tuple[Vec, ...]
-    row_gap: int
-    col_gap: int
-    settle: int
 
 
 def _max_gap(degs: list[int]) -> int:
@@ -68,8 +39,9 @@ def _ladders(grid: tuple[Vec, ...]) -> tuple[Vec, list[Vec], list[Vec], int, int
     """(anchor, row ladder, column ladder, row gap, column gap) of one class.
 
     `grid` is the class's antichain in lattice steps, u ascending.  Inside a
-    class the weighted degree is a constant plus a*b*(u + v), so the anchor
-    is the corner of least (u + v, v, u) and the gaps are taken over u + v.
+    class the weighted degree b*alpha + a*beta is a constant plus
+    a*b*(u + v), so the anchor is the corner of least (u + v, v, u) and the
+    gaps are taken over u + v.
     Pointer walks give the ladders: row v below the anchor starts at the
     first corner with v' <= v, column u left of it at the last with u' <= u.
     """
@@ -90,38 +62,6 @@ def _ladders(grid: tuple[Vec, ...]) -> tuple[Vec, list[Vec], list[Vec], int, int
     row_gap = _max_gap([au + av] + [u + v for u, v in rows])
     col_gap = _max_gap([au + av] + [u + v for u, v in cols])
     return (au, av), rows, cols, row_gap, col_gap
-
-
-def class_staircase(
-    spec: RingSpec,
-    cls: Vec,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> StaircaseClass:
-    """The ladders of one congruence class, as exponent vectors."""
-    cs = corner_set if corner_set is not None else corners(spec, budget)
-    a, b = spec.a, spec.b
-    p, q = cls = (cls[0] % a, cls[1] % b)
-    grid = cs.grids.get(cls)
-    if grid is None:
-        raise ClassNotInSubgroup(f"class {cls} is not generated by {spec.gens}")
-    anchor, rows, cols, row_gap, col_gap = _ladders(grid)
-
-    def vec(step: Vec) -> Vec:
-        return (p + step[0] * a, q + step[1] * b)
-
-    return StaircaseClass(
-        cls=cls,
-        anchor=vec(anchor),
-        corners=tuple(vec(c) for c in reversed(grid)),
-        n_rows=len(rows),
-        n_cols=len(cols),
-        row_ladder=tuple(map(vec, rows)),
-        col_ladder=tuple(map(vec, cols)),
-        row_gap=row_gap,
-        col_gap=col_gap,
-        settle=max(row_gap, col_gap),
-    )
 
 
 @dataclass(frozen=True)
@@ -147,16 +87,6 @@ class HilbertData:
 
     def value(self, n: int) -> int:
         return self.multiplicity * (n + 1) + self.constant
-
-
-def staircases(
-    spec: RingSpec,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[StaircaseClass]:
-    """Ladder data for every congruence class, sorted by class."""
-    cs = corner_set if corner_set is not None else corners(spec, budget)
-    return [class_staircase(spec, cls, cs) for cls in cs.grids]
 
 
 def hilbert_data(

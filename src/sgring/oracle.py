@@ -50,8 +50,10 @@ class CornerSet:
 
     @property
     def corners(self) -> tuple[Vec, ...]:
-        return tuple(sorted((v for vs in self.by_class.values() for v in vs),
-                            key=lambda v: (v[1], v[0])))
+        a, b = self.spec.a, self.spec.b
+        flipped = sorted((q + v * b, p + u * a)
+                         for (p, q), grid in self.grids.items() for u, v in grid)
+        return tuple((alpha, beta) for beta, alpha in flipped)
 
     def __len__(self) -> int:
         return sum(map(len, self.grids.values()))

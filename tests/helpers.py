@@ -9,8 +9,9 @@ algorithms must agree with them on every sampled input.
 from itertools import combinations
 from math import prod
 
-from sgring.core import RingSpec, class_of, lattice_contains, order_of
-from sgring.errors import BudgetExceeded
+from sgring.core import RingSpec, _lattice_form, class_of, order_of
+from sgring.errors import BudgetExceeded, NonTermination
+from sgring.fourgen import BasisResult, FourGenConstants, TraceStep, candidate_box
 
 MACAULAY = RingSpec(4, 4, ((3, 1), (1, 3)))
 RING_11 = RingSpec(2, 3, ((11, 1), (1, 11)))
@@ -23,6 +24,21 @@ YDEGS_23_2_18 = (
     + list(range(54, 63, 2)) + list(range(72, 81, 2))
     + [90, 108, 126, 144, 162, 180, 198, 216]
 )
+
+
+def weighted_degree(spec: RingSpec, v: tuple[int, int]) -> int:
+    """b*alpha + a*beta; gives x^a and y^b equal degree a*b."""
+    return spec.b * v[0] + spec.a * v[1]
+
+
+def lattice_contains(spec: RingSpec, v: tuple[int, int]) -> bool:
+    """True iff v (possibly with negative coordinates) lies in the group
+    generated by the exponent vectors of the ring's monomial generators."""
+    x, y = v
+    d1, y1, d2 = _lattice_form(spec)
+    if x % d1:
+        return False
+    return (y - (x // d1) * y1) % d2 == 0
 
 
 def membership_dp(spec: RingSpec, amax: int, bmax: int):
@@ -85,6 +101,67 @@ def corner_grids_worklist(a: int, b: int, gens, budget: int = 10_000_000) -> dic
         cls: [((va - cls[0]) // a, (vb - cls[1]) // b) for va, vb in lst]
         for cls, lst in mins.items()
     }
+
+
+def monomial_basis_sets(consts: FourGenConstants) -> BasisResult:
+    """The earlier production basis loop, kept as a reference for the row
+    widths in fourgen.monomial_basis: it grows the seed box by set union,
+    and counts each step's additions by set difference.
+
+    State (base, a*, b*, g*, h*) starts at (a1, a2, b2, g2, h2) and each
+    iteration fires exactly one of three rules, appending a block of rows
+    above the current b*.  All updates in a rule read pre-iteration values
+    (in rule 6 the new base is a1 minus the old a*).  The loop provably
+    stops within a3 <= |H| iterations; the guard only trips on a bug.
+    """
+    a1, b1, g1, h1 = consts.a1, consts.b1, consts.g1, consts.h1
+    a2, b2, g2, h2 = consts.a2, consts.b2, consts.g2, consts.h2
+    limit = consts.group_order + 1
+
+    pairs = set(candidate_box(consts))
+    initial_size = len(pairs)
+    base, a_star, b_star, g_star, h_star = a1, a2, b2, g2, h2
+    trace: list[TraceStep] = []
+
+    while g_star < 0 or h_star < 0:
+        if len(trace) >= limit:
+            raise NonTermination(
+                f"basis loop exceeded {limit} iterations for {consts}"
+            )
+        assert base >= 1  # loop invariant; rules are exclusive only then
+        if a_star >= a1:
+            branch = 4
+            new = {(u, b_star + v) for u in range(base) for v in range(b1)}
+            a_star, b_star = a_star - a1, b_star + b1
+            g_star, h_star = g_star + g1, h_star + h1
+        elif a_star <= a1 - base:
+            branch = 5
+            new = {(u, b_star + v) for u in range(base) for v in range(b2)}
+            a_star, b_star = a_star + a2, b_star + b2
+            g_star, h_star = g_star + g2, h_star + h2
+        else:
+            branch = 6
+            new = {(u, b_star + v) for u in range(base) for v in range(b1)}
+            new.update(
+                (u, b_star + v) for u in range(a1 - a_star) for v in range(b2)
+            )
+            base = a1 - a_star
+            a_star, b_star = a_star + a2, b_star + b2
+            g_star, h_star = g_star + g2, h_star + h2
+        added = len(new - pairs)
+        pairs |= new
+        trace.append(
+            TraceStep(branch, base, a_star, b_star, g_star, h_star, added, len(pairs))
+        )
+
+    monomials = frozenset(consts.pair_log(a, b) for a, b in pairs)
+    return BasisResult(
+        consts=consts,
+        pairs=frozenset(pairs),
+        monomials=monomials,
+        initial_size=initial_size,
+        trace=tuple(trace),
+    )
 
 
 def corners_reference(spec: RingSpec, budget: int = 10_000_000) -> list[tuple[int, int]]:

@@ -40,7 +40,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_macaulay_analysis():
     t0 = time.perf_counter()
-    rep = build_report(MACAULAY)
+    rep, _ = build_report(MACAULAY)
     elapsed = time.perf_counter() - t0
     assert rep["length"] == 5
     assert rep["multiplicity"] == 4

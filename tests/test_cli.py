@@ -124,6 +124,23 @@ def test_basis_budget_boundary(capsys):
     assert code == 3 and len(out.splitlines()) == 41
 
 
+_CONSTRUCT = ["construct", "--a", "2", "--b", "3", "--subgroup-gens", "[[1,1]]",
+              "--constant", "2", "--stab", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", MACAULAY_JSON, "--oracle"],
+    *[[*cmd, flag]
+      for cmd in (_CONSTRUCT, ["batch", "--curves", "--max-n", "4"], ["verify", MACAULAY_JSON])
+      for flag in ("--trace", "--plot", "--oracle")],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    # `batch --oracle` is taken as an abbreviation of --oracle-up-to, which
+    # then lacks its value
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == "" and argv[-1] in err
+
+
 def test_negative_budget_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "2,3;1:1", "--budget", "-5")
     assert code == 64 and out == "" and "budget" in err
@@ -147,6 +164,14 @@ def test_basis_ring_monomials(capsys):
     assert set(monos) == {(0, 0), (11, 1), (22, 2), (33, 3), (44, 4), (55, 5),
                           (1, 11), (2, 22), (3, 33), (4, 44), (5, 55)}
     assert len(monos) == 11
+    # outside curve mode the trace rows end in g* and h*, not c*
+    code, out, _ = run(capsys, "basis", MACAULAY_JSON, "--trace")
+    assert code == 3
+    assert out == (
+        "init  |B|=4 base=1 a*=2 b*=2 g*=-4 h*=4\n"
+        "rule4 |B|=5 base=1 a*=1 b*=3 g*=0 h*=8\n"
+        "(0,0)\n(3,1)\n(6,2)\n(1,3)\n(2,6)\n"
+    )
 
 
 def test_basis_seven_ring(capsys):
@@ -332,6 +357,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cohen-macaulay: yes" in proc.stdout
+
+
+def test_public_names_resolve():
+    assert len(sgring.__all__) == len(set(sgring.__all__))
+    for name in sgring.__all__:
+        assert getattr(sgring, name) is not None, name
+    namespace = {}
+    exec("from sgring import *", namespace)
+    assert set(sgring.__all__) <= set(namespace)
 
 
 THREE_GEN = "3,3;1:1,2:2,4:1"

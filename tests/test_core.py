@@ -6,37 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MACAULAY, membership_dp, small_specs_for_crosscheck
-from sgring.core import (
-    RingSpec,
-    class_of,
-    group_order,
+from helpers import (
+    MACAULAY,
     lattice_contains,
-    order_of,
-    subgroup_classes,
-    validate,
+    membership_dp,
+    small_specs_for_crosscheck,
     weighted_degree,
 )
+from sgring.core import RingSpec, class_of, group_order, order_of, subgroup_classes
 from sgring.errors import NegativeExponent, NonPositiveAB, ZeroGenerator
 from sgring.hilbert import hilbert_data, is_cm
 from sgring.oracle import corners, semigroup_contains
 
 
 def test_validate_known_rings():
-    spec = validate(4, 4, [(3, 1), (1, 3)])
+    spec = RingSpec(4, 4, ((3, 1), (1, 3)))
     assert spec.gens == ((3, 1), (1, 3))
-    assert validate(2, 3, []).gens == ()
+    assert RingSpec(2, 3, ()).gens == ()
 
 
 def test_validate_rejects_bad_input():
     with pytest.raises(NonPositiveAB):
-        validate(0, 3, [(1, 1)])
+        RingSpec(0, 3, ((1, 1),))
     with pytest.raises(NonPositiveAB):
-        validate(2, -1, [])
+        RingSpec(2, -1, ())
     with pytest.raises(ZeroGenerator):
-        validate(2, 3, [(0, 0)])
+        RingSpec(2, 3, ((0, 0),))
     with pytest.raises(NegativeExponent):
-        validate(2, 3, [(1, -2)])
+        RingSpec(2, 3, ((1, -2),))
 
 
 def test_bool_exponents_rejected():
@@ -50,7 +47,7 @@ def test_bool_exponents_rejected():
 
 
 def test_validate_dedupes_and_keeps_order():
-    spec = validate(2, 3, [(4, 1), (1, 1), (4, 1), (2, 2)])
+    spec = RingSpec(2, 3, ((4, 1), (1, 1), (4, 1), (2, 2)))
     assert spec.gens == ((4, 1), (1, 1), (2, 2))
 
 

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from helpers import VECS_12
+from helpers import VECS_12, monomial_basis_sets
 from sgring.core import RingSpec, group_order, order_of, subgroup_classes
 from sgring.errors import InvalidDN, NegativeExponent, ZeroGeneratorPair
 from sgring.fourgen import (
@@ -198,6 +198,28 @@ def test_basis_monomials_match_corners():
         assert r.monomials == frozenset(corners(spec).corners), spec
         assert len(r.monomials) == len(r.pairs)
         assert r.iterations <= c.a3 <= c.group_order <= d * n
+
+
+def test_basis_widths_match_set_loop():
+    # the row widths give the same basis and trace as growing a set of pairs
+    rng = random.Random(17)
+    checked = shared = 0
+    branches = set()
+    while checked < 2000:
+        d, n = rng.randint(1, 40), rng.randint(1, 40)
+        el = (rng.randint(0, 60), rng.randint(0, 60))
+        fm = (rng.randint(0, 60), rng.randint(0, 60))
+        if (0, 0) in (el, fm) or el == fm:
+            continue
+        c = constants(d, n, el, fm)
+        r, ref = monomial_basis(c), monomial_basis_sets(c)
+        assert (r.pairs, r.monomials, r.initial_size, r.trace) == \
+            (ref.pairs, ref.monomials, ref.initial_size, ref.trace), (d, n, el, fm)
+        assert r.initial_size + sum(t.added for t in r.trace) == len(r.pairs)
+        branches.update(t.branch for t in r.trace)
+        checked += 1
+        shared += gcd(d, n) > 1
+    assert branches == {4, 5, 6} and shared >= 500
 
 
 def test_basis_downward_closed_after_each_iteration():

@@ -1,4 +1,8 @@
-"""Hilbert module: per-class ladders, aggregated polynomial data, constructor."""
+"""Hilbert module: per-class ladders, aggregated polynomial data, constructor.
+
+Ladders are checked through `hilbert._ladders`, in lattice steps: step
+(u, v) of class (p, q) is the exponent vector (p + u*a, q + v*b).
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -6,43 +10,38 @@ from hypothesis import strategies as st
 
 from helpers import MACAULAY, RING_11, small_specs_for_crosscheck
 from sgring.core import RingSpec, subgroup_classes
-from sgring.errors import BudgetExceeded, ClassNotInSubgroup, InfeasibleHilbertData, TrivialSubgroup
-from sgring.hilbert import (
-    class_staircase,
-    construct_ring,
-    hilbert_data,
-    is_cm,
-    staircases,
-)
+from sgring.errors import BudgetExceeded, InfeasibleHilbertData, TrivialSubgroup
+from sgring.hilbert import _ladders, construct_ring, hilbert_data, is_cm
 from sgring.oracle import corners, gsw_cm_check, hilbert_function
 
 
 def test_staircase_macaulay_class():
-    sc = class_staircase(MACAULAY, (2, 2))
-    assert sc.anchor == (6, 2)
-    assert set(sc.corners) == {(6, 2), (2, 6)}
-    assert (sc.n_rows, sc.n_cols) == (0, 1)
-    assert (sc.row_gap, sc.col_gap, sc.settle) == (0, 0, 0)
+    grid = corners(MACAULAY).grids[(2, 2)]
+    assert set(grid) == {(1, 0), (0, 1)}  # corners (6, 2) and (2, 6)
+    anchor, rows, cols, row_gap, col_gap = _ladders(grid)
+    assert anchor == (1, 0)  # (6, 2)
+    assert (len(rows), len(cols)) == (0, 1)
+    assert (row_gap, col_gap, max(row_gap, col_gap)) == (0, 0, 0)
 
 
 def test_staircase_deep_ladder():
-    spec = RING_11
-    sc = class_staircase(spec, (1, 0))
-    assert sc.anchor == (3, 33)
-    assert (sc.n_rows, sc.n_cols) == (10, 0)
-    assert sc.row_ladder == tuple((33, 33 - 3 * i) for i in range(1, 11))
-    assert sc.row_gap == 9 and sc.settle == 9
+    grid = corners(RING_11).grids[(1, 0)]
+    anchor, rows, cols, row_gap, col_gap = _ladders(grid)
+    assert anchor == (1, 11)  # (3, 33)
+    assert (len(rows), len(cols)) == (10, 0)
+    # the monomials (33, 33 - 3i), i = 1..10
+    assert rows == [(16, 11 - i) for i in range(1, 11)]
+    assert row_gap == 9 and max(row_gap, col_gap) == 9
 
 
 def test_staircase_trivial():
-    sc = class_staircase(RingSpec(2, 3, ()), (0, 0))
-    assert sc.anchor == (0, 0)
-    assert (sc.n_rows, sc.n_cols, sc.row_gap, sc.col_gap) == (0, 0, 0, 0)
+    anchor, rows, cols, row_gap, col_gap = _ladders(corners(RingSpec(2, 3, ())).grids[(0, 0)])
+    assert anchor == (0, 0)
+    assert (len(rows), len(cols), row_gap, col_gap) == (0, 0, 0, 0)
 
 
 def test_staircase_rejects_foreign_class():
-    with pytest.raises(ClassNotInSubgroup):
-        class_staircase(RingSpec(2, 3, ()), (1, 1))
+    assert (1, 1) not in corners(RingSpec(2, 3, ())).grids
 
 
 def test_hilbert_data_examples():
@@ -52,7 +51,8 @@ def test_hilbert_data_examples():
 
     hd = hilbert_data(RING_11)
     assert (hd.multiplicity, hd.constant, hd.stabilization) == (6, 30, 9)
-    contribs = sorted(sc.n_rows + sc.n_cols for sc in staircases(RING_11))
+    contribs = sorted(len(rows) + len(cols) for _, rows, cols, _, _ in
+                      map(_ladders, corners(RING_11).grids.values()))
     assert contribs == [0, 2, 3, 6, 9, 10]
 
     hd = hilbert_data(RingSpec(2, 3, ()))
@@ -110,10 +110,11 @@ def test_staircase_decomposition_counts_corners():
     for spec in small_specs_for_crosscheck():
         cs = corners(spec)
         total = 0
-        for sc in staircases(spec, cs):
-            corner_set = set(sc.corners)
-            ladder_hits = sum(1 for v in sc.row_ladder if v in corner_set)
-            ladder_hits += sum(1 for v in sc.col_ladder if v in corner_set)
+        for grid in cs.grids.values():
+            _, rows, cols, _, _ = _ladders(grid)
+            corner_set = set(grid)
+            ladder_hits = sum(1 for v in rows if v in corner_set)
+            ladder_hits += sum(1 for v in cols if v in corner_set)
             total += 1 + ladder_hits
         assert total == len(cs)
 
