@@ -346,6 +346,27 @@ def test_plot_renders(capsys):
     assert "#" in out and "+" in out
 
 
+@pytest.mark.parametrize("argv, plot", [
+    ([MACAULAY_JSON], ["pairs (a right, b down), 5 total:", "  ###", "  #..", "  +.."]),
+    (["--n", "23", "--l", "2", "--m", "18"],
+     ["pairs (a right, b down), 41 total:", "  #########", "  #########", "  #####....",
+      *["  +++++...."] * 2, *["  +........"] * 8]),
+    # wider than 60: columns are clipped at a = 60
+    (["--n", "72", "--l", "1", "--m", "63"],
+     ["pairs (a right, b down), 126 total:", "  " + "#" * 61, "  " + "#" * 9 + "." * 52,
+      *["  " + "+" * 9 + "." * 52] * 6]),
+    # taller than 60: rows are clipped at b = 60
+    (["--n", "72", "--l", "9", "--m", "71"],
+     ["pairs (a right, b down), 126 total:", *["  ########"] * 9, *["  +......."] * 52]),
+])
+def test_basis_plot_pinned(capsys, argv, plot):
+    # the plot comes before the monomials, which stay the basis output
+    code, out, _ = run(capsys, "basis", *argv, "--plot")
+    _, monomials, _ = run(capsys, "basis", *argv)
+    assert code == 3
+    assert out == "\n".join(plot) + "\n" + monomials
+
+
 def test_module_entry_point():
     # the child imports the same sgring as this process, PYTHONPATH set or not
     src = os.path.dirname(os.path.dirname(sgring.__file__))
