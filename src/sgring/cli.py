@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -125,6 +126,13 @@ def _trace_json(t: fourgen.TraceStep, with_c: bool = False, n: int = 0) -> dict:
     return row
 
 
+def _trace_text(name: str, row: dict, curve_n: int = 0) -> str:
+    """One text trace row from a `_trace_json` row; curve mode shows c*."""
+    tail = f"c*={row['h_star'] // curve_n}" if curve_n else f"g*={row['g_star']} h*={row['h_star']}"
+    return (f"{name} |B|={row['size']} base={row['base']} a*={row['a_star']} "
+            f"b*={row['b_star']} {tail}\n")
+
+
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -155,10 +163,7 @@ def cmd_analyze(args) -> int:
             out.write(f"basis size: {len(report['basis'])}\n")
         if args.trace and report["trace"]:
             for row in report["trace"]:
-                out.write(
-                    f"rule{row['branch']} |B|={row['size']} base={row['base']} "
-                    f"a*={row['a_star']} b*={row['b_star']} g*={row['g_star']} h*={row['h_star']}\n"
-                )
+                out.write(_trace_text(f"rule{row['branch']}", row))
         if args.plot:
             _plot_corners(cs)
         out.write(f"cohen-macaulay: {'yes' if report['is_cm'] else 'no'}\n")
@@ -188,22 +193,14 @@ def _plot_corners(cs: oracle.CornerSet) -> None:
 
 
 def _plot_pairs(result: fourgen.BasisResult) -> None:
-    """ASCII view of the basis pairs: '#' seed box, '+' added rows."""
-    box = fourgen.candidate_box(result.consts)
-    max_a = max(a for a, _ in result.pairs)
-    max_b = max(b for _, b in result.pairs)
+    """ASCII view of the basis pairs, clipped at a, b <= 60: '#' the seed box
+    (the rows below b2), '+' the rows the loop added."""
+    cols = min(max(result.widths), 61)
     out = sys.stdout
-    out.write(f"pairs (a right, b down), {len(result.pairs)} total:\n")
-    for b in range(min(max_b, 60) + 1):
-        line = []
-        for a in range(min(max_a, 60) + 1):
-            if (a, b) in box:
-                line.append("#")
-            elif (a, b) in result.pairs:
-                line.append("+")
-            else:
-                line.append(".")
-        out.write("  " + "".join(line) + "\n")
+    out.write(f"pairs (a right, b down), {sum(result.widths)} total:\n")
+    for b, w in enumerate(result.widths[:61]):
+        w = min(w, cols)
+        out.write("  " + ("#" if b < result.consts.b2 else "+") * w + "." * (cols - w) + "\n")
 
 
 def cmd_basis(args) -> int:
@@ -236,11 +233,9 @@ def cmd_basis(args) -> int:
     if args.json:
         payload = dict(label)
         payload.update({
-            "constants": {k: getattr(consts, k) for k in
-                          ("d", "n", "e", "l", "f", "m", "a1", "b1", "g1", "h1",
-                           "a2", "b2", "g2", "h2", "a3", "b3", "g3", "h3")},
+            "constants": dataclasses.asdict(consts),
             "initial_size": result.initial_size,
-            "size": len(result.pairs),
+            "size": sum(result.widths),
             "is_cm": cm,
             "monomials": [list(v) for v in result.sorted_monomials()],
             "pairs": [list(v) for v in result.sorted_pairs()],
@@ -250,13 +245,11 @@ def cmd_basis(args) -> int:
     else:
         out = sys.stdout
         if args.trace:
-            rows = [("init ", result.initial_size, consts.a1, consts.a2, consts.b2,
-                     consts.g2, consts.h2)]
-            rows += [(f"rule{t.branch}", t.size, t.base, t.a_star, t.b_star, t.g_star, t.h_star)
-                     for t in result.trace]
-            for name, size, base, a_star, b_star, g, h in rows:
-                tail = f"c*={h // consts.n}" if curve_mode else f"g*={g} h*={h}"
-                out.write(f"{name} |B|={size} base={base} a*={a_star} b*={b_star} {tail}\n")
+            init = {"size": result.initial_size, "base": consts.a1, "a_star": consts.a2,
+                    "b_star": consts.b2, "g_star": consts.g2, "h_star": consts.h2}
+            out.write(_trace_text("init ", init, n_for_c))
+            for t in result.trace:
+                out.write(_trace_text(f"rule{t.branch}", _trace_json(t), n_for_c))
         if args.plot:
             _plot_pairs(result)
         if args.log:
@@ -383,17 +376,17 @@ def make_parser() -> argparse.ArgumentParser:
     views.add_argument("--trace", action="store_true", help="print per-iteration state")
     views.add_argument("--plot", action="store_true", help="ASCII staircase rendering")
 
-    parser = _Parser(prog="sgring",
+    parser = _Parser(prog="sgring", allow_abbrev=False,
                      description="Cohen-Macaulay analysis of k[x^a, x^p1 y^q1, ..., y^b]")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common, views],
+    p = sub.add_parser("analyze", allow_abbrev=False, parents=[common, views],
                        help="length, multiplicity, Hilbert data, CM verdict")
     p.add_argument("ring", help="ring as JSON or 'A,B;p1:q1,...'")
     p.add_argument("--oracle", action="store_true", help="add brute-force cross-checks")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("basis", parents=[common, views],
+    p = sub.add_parser("basis", allow_abbrev=False, parents=[common, views],
                        help="monomial basis of R/(x^a, y^b) for 4-generator rings and curves")
     p.add_argument("ring", nargs="?", help="ring with exactly two middle generators")
     p.add_argument("--n", type=int, help="curve: y-power")
@@ -403,7 +396,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="print lattice pairs (a, b) instead of exponent vectors")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", allow_abbrev=False, parents=[common],
                        help="build a ring with prescribed Hilbert data")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -413,7 +406,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--stab", type=int, required=True, help="stabilization index")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("batch", parents=[common], help="classify curve families to CSV/JSON")
+    p = sub.add_parser("batch", allow_abbrev=False, parents=[common],
+                       help="classify curve families to CSV/JSON")
     p.add_argument("--curves", action="store_true", help="iterate 0 < l < m < n <= max-n")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--oracle-up-to", type=int, default=0,
@@ -421,7 +415,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", allow_abbrev=False, parents=[common],
                        help="run oracle-vs-fast comparisons on one ring")
     p.add_argument("ring", help="ring as JSON or 'A,B;p1:q1,...'")
     p.add_argument("--hf-range", help="check the Hilbert function on lo..hi")

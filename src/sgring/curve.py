@@ -46,7 +46,8 @@ class CurveConstants:
        -a2*l + b2*m = c2*n     b2 minimal with c2 > 0, 0 <= a2 < n/gcd(l,n)
         a3*l - b3*m = c3*n     a3 minimal with c3 >= 0, 0 <= b3 < n/gcd(m,n)
 
-    The first relation is the sum of the other two.  Here d = gcd(l, m, n).
+    The first relation is the sum of the other two.  Here d = gcd(l, m, n),
+    and `fourgen` is the four-generator record these are read from.
     """
 
     n: int
@@ -62,6 +63,7 @@ class CurveConstants:
     a3: int
     b3: int
     c3: int
+    fourgen: FourGenConstants
 
     @property
     def group_order(self) -> int:
@@ -69,15 +71,7 @@ class CurveConstants:
 
     def to_fourgen(self) -> FourGenConstants:
         """The same data in four-generator form (d = n, gens (n-l, l), (n-m, m))."""
-        n, l, m = self.n, self.l, self.m
-        g2 = (self.b2 - self.a2 - self.c2) * n
-        g3 = (self.a3 - self.b3 - self.c3) * n
-        return FourGenConstants(
-            d=n, n=n, e=n - l, l=l, f=n - m, m=m,
-            a1=self.a1, b1=self.b1, g1=g2 + g3, h1=self.c1 * n,
-            a2=self.a2, b2=self.b2, g2=g2, h2=self.c2 * n,
-            a3=self.a3, b3=self.b3, g3=g3, h3=self.c3 * n,
-        )
+        return self.fourgen
 
 
 def _curve_form(fg: FourGenConstants) -> CurveConstants:
@@ -87,7 +81,7 @@ def _curve_form(fg: FourGenConstants) -> CurveConstants:
         n=n, l=l, m=m, d=gcd(l, m, n),
         a1=fg.a1, b1=fg.b1, c1=fg.h1 // n,
         a2=fg.a2, b2=fg.b2, c2=fg.h2 // n,
-        a3=fg.a3, b3=fg.b3, c3=fg.h3 // n,
+        a3=fg.a3, b3=fg.b3, c3=fg.h3 // n, fourgen=fg,
     )
 
 
@@ -208,7 +202,7 @@ def batch_classify(
                         n=n, l=l, m=m,
                         is_cm=verdict,
                         group_order=consts.group_order,
-                        basis_size=len(result.pairs),
+                        basis_size=sum(result.widths),
                         bound_attained=attained,
                         oracle_agree=agree,
                     )

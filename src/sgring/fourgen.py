@@ -54,10 +54,6 @@ class FourGenConstants:
         """|H|: order of the subgroup the two generators span mod (d, n)."""
         return self.a3 * self.b2 - self.a2 * self.b3
 
-    def pair_log(self, a: int, b: int) -> Vec:
-        """Exponent vector of (x^e y^l)^a * (x^f y^m)^b."""
-        return (a * self.e + b * self.f, a * self.l + b * self.m)
-
 
 def _solve(el: Vec, target: Vec, d: int, n: int) -> int | None:
     """Least a >= 0 with a*(e,l) = target mod (d, n), or None.  Solves a*e = x
@@ -157,13 +153,13 @@ class TraceStep:
 class BasisResult:
     """Output of the basis algorithm.
 
-    pairs     -- lattice exponents (a, b) of the basis monomials
+    widths    -- row b holds the lattice pairs (a, b) with a < widths[b]
     monomials -- their exponent vectors a*(e,l) + b*(f,m)
     trace     -- one TraceStep per iteration (post-iteration values)
     """
 
     consts: FourGenConstants
-    pairs: frozenset[Vec]
+    widths: tuple[int, ...]
     monomials: frozenset[Vec]
     initial_size: int
     trace: tuple[TraceStep, ...]
@@ -172,11 +168,17 @@ class BasisResult:
     def iterations(self) -> int:
         return len(self.trace)
 
+    @property
+    def pairs(self) -> frozenset[Vec]:
+        """The lattice exponents (a, b) of the basis monomials."""
+        return frozenset(self.sorted_pairs())
+
     def sorted_monomials(self) -> list[Vec]:
         return sorted(self.monomials, key=lambda v: (v[1], v[0]))
 
     def sorted_pairs(self) -> list[Vec]:
-        return sorted(self.pairs, key=lambda v: (v[1], v[0]))
+        """The pairs sorted by (b, a), which is the order of the rows."""
+        return [(a, b) for b, w in enumerate(self.widths) for a in range(w)]
 
 
 def monomial_basis(consts: FourGenConstants) -> BasisResult:
@@ -226,11 +228,12 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
             TraceStep(branch, base, a_star, b_star, g_star, h_star, added, size)
         )
 
-    pairs = frozenset((a, b) for b, w in enumerate(widths) for a in range(w))
+    e, l, f, m = consts.e, consts.l, consts.f, consts.m
     return BasisResult(
         consts=consts,
-        pairs=pairs,
-        monomials=frozenset(consts.pair_log(a, b) for a, b in pairs),
+        widths=tuple(widths),
+        monomials=frozenset((a * e + b * f, a * l + b * m)
+                            for b, w in enumerate(widths) for a in range(w)),
         initial_size=initial_size,
         trace=tuple(trace),
     )
@@ -239,7 +242,7 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
 def length_bound(consts: FourGenConstants, result: BasisResult) -> bool:
     """Check the proven size bounds; True iff |B| = |H|(|H|+1)/2 exactly."""
     h = consts.group_order
-    size = len(result.pairs)
+    size = sum(result.widths)
     assert size <= h * (h + 1) // 2
     assert h <= consts.d * consts.n
     return size == h * (h + 1) // 2

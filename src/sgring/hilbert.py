@@ -155,7 +155,7 @@ def run_checks(spec: RingSpec, cs: CornerSet, hd: HilbertData,
             brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
             checks.append(("constants", brute == consts, f"fast {consts} vs brute force"))
         checks.append(("basis_equals_corners", basis.monomials == frozenset(cs.corners),
-                       f"basis size {len(basis.pairs)}, corner count {len(cs)}"))
+                       f"basis size {sum(basis.widths)}, corner count {len(cs)}"))
         if with_oracle:
             checks.append(("candidate_box_size",
                            len(fourgen.candidate_box(consts)) == consts.group_order,

@@ -6,12 +6,13 @@ the dynamic program) and are deliberately slow; the package's production
 algorithms must agree with them on every sampled input.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
 from sgring.core import RingSpec, _lattice_form, class_of, order_of
 from sgring.errors import BudgetExceeded, NonTermination
-from sgring.fourgen import BasisResult, FourGenConstants, TraceStep, candidate_box
+from sgring.fourgen import FourGenConstants, TraceStep, candidate_box
 
 MACAULAY = RingSpec(4, 4, ((3, 1), (1, 3)))
 RING_11 = RingSpec(2, 3, ((11, 1), (1, 11)))
@@ -103,7 +104,22 @@ def corner_grids_worklist(a: int, b: int, gens, budget: int = 10_000_000) -> dic
     }
 
 
-def monomial_basis_sets(consts: FourGenConstants) -> BasisResult:
+def pair_log(consts: FourGenConstants, a: int, b: int) -> tuple[int, int]:
+    """Exponent vector of (x^e y^l)^a * (x^f y^m)^b."""
+    return (a * consts.e + b * consts.f, a * consts.l + b * consts.m)
+
+
+@dataclass(frozen=True)
+class SetLoopBasis:
+    """What `monomial_basis_sets` grows: the basis as a set of pairs."""
+
+    pairs: frozenset[tuple[int, int]]
+    monomials: frozenset[tuple[int, int]]
+    initial_size: int
+    trace: tuple[TraceStep, ...]
+
+
+def monomial_basis_sets(consts: FourGenConstants) -> SetLoopBasis:
     """The earlier production basis loop, kept as a reference for the row
     widths in fourgen.monomial_basis: it grows the seed box by set union,
     and counts each step's additions by set difference.
@@ -154,11 +170,9 @@ def monomial_basis_sets(consts: FourGenConstants) -> BasisResult:
             TraceStep(branch, base, a_star, b_star, g_star, h_star, added, len(pairs))
         )
 
-    monomials = frozenset(consts.pair_log(a, b) for a, b in pairs)
-    return BasisResult(
-        consts=consts,
+    return SetLoopBasis(
         pairs=frozenset(pairs),
-        monomials=monomials,
+        monomials=frozenset(pair_log(consts, a, b) for a, b in pairs),
         initial_size=initial_size,
         trace=tuple(trace),
     )

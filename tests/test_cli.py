@@ -135,10 +135,20 @@ _CONSTRUCT = ["construct", "--a", "2", "--b", "3", "--subgroup-gens", "[[1,1]]",
       for flag in ("--trace", "--plot", "--oracle")],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
-    # `batch --oracle` is taken as an abbreviation of --oracle-up-to, which
-    # then lacks its value
+    # abbreviations are off, so `batch --oracle` is not read as --oracle-up-to
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == "" and argv[-1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "4,4;3:1,1:3", "--or"],
+    ["analyze", "4,4;3:1,1:3", "--js"],
+    ["basis", "--n", "5", "--l", "1", "--m", "2", "--tr"],
+    ["batch", "--curves", "--max-n", "4", "--oracle", "3"],
+])
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 64 and out == ""
 
 
 def test_negative_budget_is_usage_error(capsys):

@@ -83,6 +83,8 @@ def test_coincidence_with_fourgen_form():
         fg = fourgen_constants(n, n, (n - l, l), (n - m, m))
         assert c.to_fourgen() == fg, (n, l, m)
         assert fg.h2 == c.c2 * n and fg.h3 == c.c3 * n and fg.h1 == c.c1 * n
+        assert fg.g2 == (c.b2 - c.a2 - c.c2) * n
+        assert fg.g3 == (c.a3 - c.b3 - c.c3) * n
 
 
 def test_basis_worked_example():

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from helpers import VECS_12, monomial_basis_sets
+from helpers import VECS_12, monomial_basis_sets, pair_log
 from sgring.core import RingSpec, group_order, order_of, subgroup_classes
 from sgring.errors import InvalidDN, NegativeExponent, ZeroGeneratorPair
 from sgring.fourgen import (
@@ -106,7 +106,7 @@ def test_constants_large_ring():
     relations = [(c.a1, c.b1, c.g1, c.h1), (-c.a2, c.b2, c.g2, c.h2),
                  (c.a3, -c.b3, c.g3, c.h3)]
     for a, b, g, h in relations:
-        assert c.pair_log(a, b) == (g, h) and g % d == 0 and h % n == 0
+        assert pair_log(c, a, b) == (g, h) and g % d == 0 and h % n == 0
     assert c.a1 > 0 and c.b1 > 0
     assert 0 <= c.a2 < order_of(el, (d, n)) and 0 <= c.b3 < order_of(fm, (d, n))
     assert c.g2 > 0 or c.h2 > 0 or c.g2 == c.h2 == 0
@@ -216,6 +216,10 @@ def test_basis_widths_match_set_loop():
         assert (r.pairs, r.monomials, r.initial_size, r.trace) == \
             (ref.pairs, ref.monomials, ref.initial_size, ref.trace), (d, n, el, fm)
         assert r.initial_size + sum(t.added for t in r.trace) == len(r.pairs)
+        assert r.sorted_pairs() == sorted(ref.pairs, key=lambda v: (v[1], v[0]))
+        assert sum(r.widths) == len(ref.pairs)
+        assert min(r.widths) >= 1
+        assert all(w >= v for w, v in zip(r.widths, r.widths[1:]))
         branches.update(t.branch for t in r.trace)
         checked += 1
         shared += gcd(d, n) > 1
