@@ -47,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message) from None
 
 
+class _Subcommand(_Parser):
+    """A subcommand's parser rejects the arguments it does not take itself,
+    so the error shows the subcommand's usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def parse_ring(text: str) -> RingSpec:
     """Parse a ring from JSON or the compact "A,B;p:q,..." form."""
     text = text.strip()
@@ -218,16 +229,15 @@ def cmd_basis(args) -> int:
         if len(spec.gens) != 2:
             raise NotFourGen(f"basis needs exactly two middle generators, got {len(spec.gens)}")
         label = {"spec": ring_json(spec)}
-    # |H| bounds the constants search; a basis has |H| pairs if the ring is
-    # Cohen-Macaulay and at most |H|(|H|+1)/2 otherwise
-    size = group_order(spec)
-    if size > args.budget:
-        raise BudgetExceeded(f"|H| = {size} exceeds the work budget {args.budget}")
+    # |H| bounds the constants search and the basis loop, which runs at most
+    # a3 <= |H| iterations; the exact basis size is checked before any listing
+    if (h := group_order(spec)) > args.budget:
+        raise BudgetExceeded(f"|H| = {h} exceeds the work budget {args.budget}")
     consts = fourgen.constants(spec.a, spec.b, *spec.gens)
     cm = fourgen.is_cm(consts)
-    if not cm and (pairs := size * (size + 1) // 2) > args.budget:
-        raise BudgetExceeded(f"|H|(|H|+1)/2 = {pairs} exceeds the work budget {args.budget}")
     result = fourgen.monomial_basis(consts)
+    if (size := sum(result.widths)) > args.budget:
+        raise BudgetExceeded(f"basis size {size} exceeds the work budget {args.budget}")
     n_for_c = consts.n if curve_mode else 0
 
     if args.json:
@@ -235,7 +245,7 @@ def cmd_basis(args) -> int:
         payload.update({
             "constants": dataclasses.asdict(consts),
             "initial_size": result.initial_size,
-            "size": sum(result.widths),
+            "size": size,
             "is_cm": cm,
             "monomials": [list(v) for v in result.sorted_monomials()],
             "pairs": [list(v) for v in result.sorted_pairs()],
@@ -378,7 +388,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="sgring", allow_abbrev=False,
                      description="Cohen-Macaulay analysis of k[x^a, x^p1 y^q1, ..., y^b]")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("analyze", allow_abbrev=False, parents=[common, views],
                        help="length, multiplicity, Hilbert data, CM verdict")

@@ -95,15 +95,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, t
 
 
-def _lattice_form(spec: RingSpec) -> tuple[int, int, int]:
+def _lattice_form(a: int, b: int, gens) -> tuple[int, int, int]:
     """Hermite form (d1, y1, d2) of the Z-span of {(a,0), (0,b)} + gens.
 
     The lattice is {(x, y) : d1 | x and d2 | y - (x // d1) * y1}.  Both
     d1 and d2 are >= 1 because (a, 0) and (0, b) are always present.
     """
-    d1, y1 = spec.a, 0
-    ys = [spec.b]
-    for p, q in spec.gens:
+    d1, y1 = a, 0
+    ys = [b]
+    for p, q in gens:
         g, s, t = _xgcd(d1, p)
         ys.append((d1 // g) * q - (p // g) * y1)
         d1, y1 = g, s * y1 + t * q
@@ -113,7 +113,15 @@ def _lattice_form(spec: RingSpec) -> tuple[int, int, int]:
     return d1, y1 % d2, d2
 
 
+def subgroup_order(a: int, b: int, gens) -> int:
+    """|H| = a*b / (d1*d2): the index of (aZ, bZ) in the lattice, in closed form.
+
+    Takes the bare data, so a caller without a RingSpec builds none.
+    """
+    d1, _, d2 = _lattice_form(a, b, gens)
+    return a * b // (d1 * d2)
+
+
 def group_order(spec: RingSpec) -> int:
-    """|H| = a*b / (d1*d2): the index of (aZ, bZ) in the lattice, in closed form."""
-    d1, _, d2 = _lattice_form(spec)
-    return spec.a * spec.b // (d1 * d2)
+    """|H| of a ring: `subgroup_order` of its modulus and middle generators."""
+    return subgroup_order(spec.a, spec.b, spec.gens)

@@ -8,10 +8,11 @@ an explicit monomial basis from a seed rectangle union.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from itertools import count
 from math import gcd
 
+from .core import order_of, subgroup_order
 from .errors import InvalidDN, NegativeExponent, NonTermination, ZeroGeneratorPair
 
 Vec = tuple[int, int]
@@ -77,10 +78,12 @@ def _solve(el: Vec, target: Vec, d: int, n: int) -> int | None:
 def constants(d: int, n: int, el: Vec, fm: Vec) -> FourGenConstants:
     """Compute the relation coefficients by minimal search.
 
-    The second relation walks b = 1, 2, ... and the third a = 1, 2, ...; for
-    each, `_solve` gives the only partner coefficient inside its order range,
-    so each walk is O(ord) and stops at b = ord(f,m), resp. a = ord(e,l).
-    The first relation is their sum.
+    The b with a relation-2 partner are the multiples of |H| / ord(e,l), and
+    the partner of k times that step is k times its partner, mod ord(e,l).
+    So the second relation walks those multiples from one `_solve`, with an
+    addition per step, until the sign test holds; it stops at the latest at
+    b = ord(f,m).  The third relation walks a over the multiples of
+    |H| / ord(f,m) in the same way.  The first relation is their sum.
     """
     if d < 1 or n < 1:
         raise InvalidDN(f"need d, n >= 1, got d={d}, n={n}")
@@ -93,20 +96,24 @@ def constants(d: int, n: int, el: Vec, fm: Vec) -> FourGenConstants:
     if min(el + fm) < 0:  # the walks below stop only for nonnegative pairs
         raise NegativeExponent(f"generator pairs {el}, {fm} need nonnegative entries")
     (e, l), (f, m) = el, fm
+    h = subgroup_order(d, n, (el, fm))
+    ord_el, ord_fm = order_of(el, (d, n)), order_of(fm, (d, n))
 
-    for b2 in count(1):
-        a2 = _solve(el, (b2 * f, b2 * m), d, n)
-        if a2 is not None:
-            g2, h2 = b2 * f - a2 * e, b2 * m - a2 * l
-            if g2 > 0 or h2 > 0 or g2 == h2 == 0:
-                break
+    b2 = step = h // ord_el
+    a2 = partner = _solve(el, (b2 * f, b2 * m), d, n)
+    while True:
+        g2, h2 = b2 * f - a2 * e, b2 * m - a2 * l
+        if g2 > 0 or h2 > 0 or g2 == h2 == 0:
+            break
+        b2, a2 = b2 + step, (a2 + partner) % ord_el
 
-    for a3 in count(1):
-        b3 = _solve(fm, (a3 * e, a3 * l), d, n)
-        if b3 is not None:
-            g3, h3 = a3 * e - b3 * f, a3 * l - b3 * m
-            if g3 >= 0 and h3 >= 0 and (g3 or h3):
-                break
+    a3 = step = h // ord_fm
+    b3 = partner = _solve(fm, (a3 * e, a3 * l), d, n)
+    while True:
+        g3, h3 = a3 * e - b3 * f, a3 * l - b3 * m
+        if g3 >= 0 and h3 >= 0 and (g3 or h3):
+            break
+        a3, b3 = a3 + step, (b3 + partner) % ord_fm
 
     return FourGenConstants(
         d=d, n=n, e=e, l=l, f=f, m=m,
@@ -149,18 +156,62 @@ class TraceStep:
     size: int
 
 
+class MonomialView(Set):
+    """Read-only set of the vectors a*(e,l) + b*(f,m) with a < widths[b].
+
+    Members are listed from the widths on each use, a membership test
+    included; nothing is cached.  If (e,l) and (f,m) are proportional,
+    distinct pairs can give one vector, so iteration and `len` then go
+    through a frozenset.
+    """
+
+    __slots__ = ("_consts", "_widths")
+
+    def __init__(self, consts: FourGenConstants, widths: tuple[int, ...]) -> None:
+        self._consts, self._widths = consts, widths
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[Vec]:
+        return frozenset(it)
+
+    def _images(self):
+        e, l, f, m = self._consts.e, self._consts.l, self._consts.f, self._consts.m
+        return ((a * e + b * f, a * l + b * m)
+                for b, w in enumerate(self._widths) for a in range(w))
+
+    def __iter__(self):
+        c = self._consts
+        if c.e * c.m != c.l * c.f:  # independent: distinct pairs, distinct vectors
+            return self._images()
+        return iter(frozenset(self._images()))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __contains__(self, v) -> bool:
+        return v in frozenset(self._images())
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({set(self)!r})"
+
+
 @dataclass(frozen=True)
 class BasisResult:
     """Output of the basis algorithm.
 
     widths    -- row b holds the lattice pairs (a, b) with a < widths[b]
-    monomials -- their exponent vectors a*(e,l) + b*(f,m)
+    monomials -- their exponent vectors a*(e,l) + b*(f,m), a MonomialView
+                 of the widths; an init field so a result can be rebuilt
+                 with other monomials by `dataclasses.replace`
     trace     -- one TraceStep per iteration (post-iteration values)
     """
 
     consts: FourGenConstants
     widths: tuple[int, ...]
-    monomials: frozenset[Vec]
+    monomials: Set[Vec]
     initial_size: int
     trace: tuple[TraceStep, ...]
 
@@ -228,12 +279,11 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
             TraceStep(branch, base, a_star, b_star, g_star, h_star, added, size)
         )
 
-    e, l, f, m = consts.e, consts.l, consts.f, consts.m
+    widths = tuple(widths)
     return BasisResult(
         consts=consts,
-        widths=tuple(widths),
-        monomials=frozenset((a * e + b * f, a * l + b * m)
-                            for b, w in enumerate(widths) for a in range(w)),
+        widths=widths,
+        monomials=MonomialView(consts, widths),
         initial_size=initial_size,
         trace=tuple(trace),
     )

@@ -7,12 +7,12 @@ algorithms must agree with them on every sampled input.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import prod
 
 from sgring.core import RingSpec, _lattice_form, class_of, order_of
 from sgring.errors import BudgetExceeded, NonTermination
-from sgring.fourgen import FourGenConstants, TraceStep, candidate_box
+from sgring.fourgen import FourGenConstants, TraceStep, _solve, candidate_box
 
 MACAULAY = RingSpec(4, 4, ((3, 1), (1, 3)))
 RING_11 = RingSpec(2, 3, ((11, 1), (1, 11)))
@@ -36,7 +36,7 @@ def lattice_contains(spec: RingSpec, v: tuple[int, int]) -> bool:
     """True iff v (possibly with negative coordinates) lies in the group
     generated by the exponent vectors of the ring's monomial generators."""
     x, y = v
-    d1, y1, d2 = _lattice_form(spec)
+    d1, y1, d2 = _lattice_form(spec.a, spec.b, spec.gens)
     if x % d1:
         return False
     return (y - (x // d1) * y1) % d2 == 0
@@ -102,6 +102,39 @@ def corner_grids_worklist(a: int, b: int, gens, budget: int = 10_000_000) -> dic
         cls: [((va - cls[0]) // a, (vb - cls[1]) // b) for va, vb in lst]
         for cls, lst in mins.items()
     }
+
+
+def constants_walk(d: int, n: int, el, fm) -> FourGenConstants:
+    """The earlier production constants search, kept as a reference for the
+    multiples walk in fourgen.constants: inputs already checked there.
+
+    The second relation walks b = 1, 2, ... and the third a = 1, 2, ...; for
+    each, `_solve` gives the only partner coefficient inside its order range,
+    so each walk is O(ord) and stops at b = ord(f,m), resp. a = ord(e,l).
+    The first relation is their sum.
+    """
+    (e, l), (f, m) = el, fm
+
+    for b2 in count(1):
+        a2 = _solve(el, (b2 * f, b2 * m), d, n)
+        if a2 is not None:
+            g2, h2 = b2 * f - a2 * e, b2 * m - a2 * l
+            if g2 > 0 or h2 > 0 or g2 == h2 == 0:
+                break
+
+    for a3 in count(1):
+        b3 = _solve(fm, (a3 * e, a3 * l), d, n)
+        if b3 is not None:
+            g3, h3 = a3 * e - b3 * f, a3 * l - b3 * m
+            if g3 >= 0 and h3 >= 0 and (g3 or h3):
+                break
+
+    return FourGenConstants(
+        d=d, n=n, e=e, l=l, f=f, m=m,
+        a1=a3 - a2, b1=b2 - b3, g1=g2 + g3, h1=h2 + h3,
+        a2=a2, b2=b2, g2=g2, h2=h2,
+        a3=a3, b3=b3, g3=g3, h3=h3,
+    )
 
 
 def pair_log(consts: FourGenConstants, a: int, b: int) -> tuple[int, int]:

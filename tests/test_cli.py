@@ -117,10 +117,10 @@ def test_basis_budget_boundary(capsys):
     # Cohen-Macaulay curve with |H| = 200: its basis is the 200-pair seed box
     code, out, _ = run(capsys, "basis", "--n", "200", "--l", "1", "--m", "2", "--budget", "200")
     assert code == 0 and len(out.splitlines()) == 200
-    # not Cohen-Macaulay, |H| = 23: up to 23*24/2 = 276 pairs are counted
-    code, out, _ = run(capsys, "basis", "--n", "23", "--l", "2", "--m", "18", "--budget", "275")
-    assert code == 69 and out == ""
-    code, out, _ = run(capsys, "basis", "--n", "23", "--l", "2", "--m", "18", "--budget", "276")
+    # not Cohen-Macaulay, |H| = 23: the exact basis size, 41 pairs, is counted
+    code, out, err = run(capsys, "basis", "--n", "23", "--l", "2", "--m", "18", "--budget", "40")
+    assert code == 69 and out == "" and "basis size 41" in err
+    code, out, _ = run(capsys, "basis", "--n", "23", "--l", "2", "--m", "18", "--budget", "41")
     assert code == 3 and len(out.splitlines()) == 41
 
 
@@ -149,6 +149,18 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
 def test_abbreviated_flags_are_usage_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 64 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", MACAULAY_JSON, "--oracle"],
+    ["analyze", "4,4;3:1,1:3", "--or"],
+    ["batch", "--curves", "--max-n", "4", "--oracle"],
+])
+def test_unknown_flag_shows_the_subcommand_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith(f"usage: sgring {argv[0]} [-h]")
+    assert err.endswith(f"sgring {argv[0]}: error: unrecognized arguments: {argv[-1]}\n")
 
 
 def test_negative_budget_is_usage_error(capsys):

@@ -1,22 +1,29 @@
 """Four-generator fast paths: constants, seed box, basis algorithm, bounds."""
 
+import dataclasses
 import random
 import time
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import VECS_12, monomial_basis_sets, pair_log
+from helpers import VECS_12, constants_walk, monomial_basis_sets, pair_log
+from sgring import fourgen
 from sgring.core import RingSpec, group_order, order_of, subgroup_classes
 from sgring.errors import InvalidDN, NegativeExponent, ZeroGeneratorPair
 from sgring.fourgen import (
+    BasisResult,
+    MonomialView,
     candidate_box,
     constants,
     is_cm,
     length_bound,
     monomial_basis,
 )
+from sgring.hilbert import hilbert_data, run_checks
 from sgring.oracle import corners, fourgen_constants_bruteforce
 
 
@@ -94,6 +101,50 @@ def test_constants_match_bruteforce_larger_moduli():
         shared += gcd(d, n) > 1
     assert shared >= checked // 2
     assert time.perf_counter() - start < 5.0
+
+
+_PAIR = st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def fourgen_inputs(draw):
+    """(d, n, el, fm) with a shared factor of d and n in a third of the cases,
+    and generators that are free, have a zero entry, or are proportional."""
+    g = draw(st.sampled_from([1, 2, 3]))
+    d, n = g * draw(st.integers(1, 8)), g * draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["free", "zero", "proportional"]))
+    if shape == "proportional":
+        (p, q), k1, k2 = draw(_PAIR), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        return d, n, (k1 * p, k1 * q), (k2 * p, k2 * q)
+    e, l, f, m = draw(_PAIR) + draw(_PAIR)
+    if shape == "zero":
+        zero = draw(st.integers(0, 3))
+        e, l, f, m = [0 if i == zero else v for i, v in enumerate((e, l, f, m))]
+        assume((e, l) != (0, 0) and (f, m) != (0, 0))
+    return d, n, (e, l), (f, m)
+
+
+@given(fourgen_inputs())
+@settings(max_examples=300, deadline=None)
+def test_constants_multiples_walk_matches_references(args):
+    fast = constants(*args)
+    assert fast == constants_walk(*args) == fourgen_constants_bruteforce(*args)
+
+
+def test_constants_calls_solve_at_most_twice(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = fourgen._solve
+    monkeypatch.setattr(fourgen, "_solve", counting)
+    for args in [(2003, 1999, (1, 1), (2, 5)), (23, 23, (21, 2), (5, 18)),
+                 (4, 4, (3, 1), (1, 3)), (6, 4, (2, 2), (3, 3)), (5, 7, (0, 3), (4, 0))]:
+        calls.clear()
+        assert constants(*args) == constants_walk(*args)
+        assert len(calls) <= 2, args
 
 
 def test_constants_large_ring():
@@ -279,3 +330,49 @@ def test_duplicate_generator_pair_is_three_generator_ring():
     r = monomial_basis(c)
     spec = RingSpec(4, 6, ((3, 2),))
     assert r.monomials == frozenset(corners(spec).corners)
+
+
+def test_monomial_view_counts_distinct_monomials():
+    # (e,l) = (1,1) and (f,m) = (2,2) are proportional: the pairs (2, 0) and
+    # (0, 1) both give x^2 y^2, so four pairs give three monomials
+    c = constants(4, 4, (1, 1), (2, 2))
+    view = MonomialView(c, (3, 1))
+    r = BasisResult(consts=c, widths=(3, 1), monomials=view, initial_size=4, trace=())
+    assert len(r.pairs) == 4
+    assert len(r.monomials) == 3 and sorted(r.monomials) == [(0, 0), (1, 1), (2, 2)]
+    assert r.monomials == {(0, 0), (1, 1), (2, 2)}
+    assert r.monomials != {(0, 0), (1, 1), (2, 2), (3, 3)}
+    assert (2, 2) in view and (3, 3) not in view
+    assert hash(view) == hash(frozenset(view))
+    assert view - {(0, 0)} == frozenset({(1, 1), (2, 2)})
+    assert type(view - {(0, 0)}) is frozenset
+
+
+def test_monomial_view_agrees_with_frozenset():
+    rng = random.Random(29)
+    for _ in range(300):
+        d, n = rng.randint(1, 12), rng.randint(1, 12)
+        el, fm = rng.sample(VECS_12, 2)
+        r = monomial_basis(constants(d, n, el, fm))
+        members = frozenset((a * el[0] + b * fm[0], a * el[1] + b * fm[1])
+                            for a, b in r.pairs)
+        assert r.monomials == members and frozenset(r.monomials) == members
+        assert len(r.monomials) == len(members) and hash(r.monomials) == hash(members)
+        probes = list(members) + [(x + 1, y) for x, y in members] + [(-1, 0), "x"]
+        assert all((v in r.monomials) == (v in members) for v in probes), (d, n, el, fm)
+        assert hash(r) == hash(dataclasses.replace(r, monomials=members))
+
+
+def test_run_checks_flags_a_missing_basis_monomial():
+    spec = RingSpec(23, 23, ((21, 2), (5, 18)))
+    r = monomial_basis(constants(23, 23, *spec.gens))
+    cs = corners(spec)
+    hd = hilbert_data(spec, cs)
+
+    def basis_check(basis):
+        _, checks = run_checks(spec, cs, hd, basis, None, with_oracle=False)
+        return next(passed for name, passed, _ in checks if name == "basis_equals_corners")
+
+    assert basis_check(r)
+    corner = max(cs.corners)
+    assert not basis_check(dataclasses.replace(r, monomials=r.monomials - {corner}))
