@@ -106,7 +106,7 @@ def build_report(spec: RingSpec, oracle_checked: bool = False, budget: int = DEF
     hd = hilbert.hilbert_data(spec, cs)
     basis = _fourgen_basis(spec)
     hf_range = (hd.stabilization, hd.stabilization + 2) if oracle_checked else None
-    criteria, checks = hilbert.run_checks(spec, cs, hd, basis, hf_range, oracle_checked)
+    criteria, checks = hilbert.run_checks(cs, hd, basis, hf_range, oracle_checked)
     for name, passed, detail in checks:
         if not passed:
             raise DisagreementError(f"check {name} failed for {spec}: {detail}")
@@ -127,13 +127,14 @@ def build_report(spec: RingSpec, oracle_checked: bool = False, budget: int = DEF
     return report, cs
 
 
-def _trace_json(t: fourgen.TraceStep, with_c: bool = False, n: int = 0) -> dict:
+def _trace_json(t: fourgen.TraceStep, curve_n: int = 0) -> dict:
+    """One JSON trace row; curve mode adds c* = h* / n."""
     row = {
         "branch": t.branch, "base": t.base, "a_star": t.a_star, "b_star": t.b_star,
         "g_star": t.g_star, "h_star": t.h_star, "added": t.added, "size": t.size,
     }
-    if with_c:
-        row["c_star"] = t.h_star // n
+    if curve_n:
+        row["c_star"] = t.h_star // curve_n
     return row
 
 
@@ -249,7 +250,7 @@ def cmd_basis(args) -> int:
             "is_cm": cm,
             "monomials": [list(v) for v in result.sorted_monomials()],
             "pairs": [list(v) for v in result.sorted_pairs()],
-            "trace": [_trace_json(t, curve_mode, n_for_c) for t in result.trace],
+            "trace": [_trace_json(t, n_for_c) for t in result.trace],
         })
         _emit_json(payload)
     else:
@@ -278,7 +279,7 @@ def cmd_construct(args) -> int:
         raise RingSpecError(f"bad --subgroup-gens: {exc}") from exc
     spec = hilbert.construct_ring(args.a, args.b, class_gens, args.constant, args.stab,
                                   args.budget)
-    hd = hilbert.hilbert_data(spec, budget=args.budget)
+    hd = hilbert.hilbert_data(spec, corners(spec, args.budget))
     payload = {
         "spec": ring_json(spec),
         "verification": {
@@ -355,7 +356,7 @@ def cmd_verify(args) -> int:
     spec = parse_ring(args.ring)
     hf_range = _parse_range(args.hf_range) if args.hf_range else None
     cs = corners(spec, args.budget)
-    _, checks = hilbert.run_checks(spec, cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
+    _, checks = hilbert.run_checks(cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
     ok = all(passed for _, passed, _ in checks)
     if args.json:
         _emit_json({

@@ -10,10 +10,10 @@ families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .core import RingSpec
-from .errors import DisagreementError, IdentityViolation, InvalidCurve
+from .errors import BudgetExceeded, DisagreementError, IdentityViolation, InvalidCurve
 from .fourgen import BasisResult, FourGenConstants
 from .fourgen import constants as fourgen_constants, length_bound, monomial_basis
 from .hilbert import hilbert_data, run_checks
@@ -74,20 +74,17 @@ class CurveConstants:
         return self.fourgen
 
 
-def _curve_form(fg: FourGenConstants) -> CurveConstants:
-    """Read curve constants off four-generator ones with d = n: ci = hi / n."""
-    n, l, m = fg.n, fg.l, fg.m
+def constants(spec: CurveSpec) -> CurveConstants:
+    """The four-generator constants of the curve's ring (d = n), read off in
+    curve form: ci = hi / n."""
+    fg = fourgen_constants(spec.n, spec.n, *spec.ring_gens())
+    n, l, m = spec.n, spec.l, spec.m
     return CurveConstants(
         n=n, l=l, m=m, d=gcd(l, m, n),
         a1=fg.a1, b1=fg.b1, c1=fg.h1 // n,
         a2=fg.a2, b2=fg.b2, c2=fg.h2 // n,
         a3=fg.a3, b3=fg.b3, c3=fg.h3 // n, fourgen=fg,
     )
-
-
-def constants(spec: CurveSpec) -> CurveConstants:
-    """The four-generator constants of the curve's ring, in curve form."""
-    return _curve_form(fourgen_constants(spec.n, spec.n, *spec.ring_gens()))
 
 
 def is_cm(consts: CurveConstants) -> bool:
@@ -146,7 +143,7 @@ def basis(spec: CurveSpec) -> BasisResult:
     stopping rule b* >= a* + c* is the sign rule of the four-generator form.
     Trace rows expose c* as h_star // n.
     """
-    return monomial_basis(fourgen_constants(spec.n, spec.n, *spec.ring_gens()))
+    return monomial_basis(constants(spec).fourgen)
 
 
 @dataclass(frozen=True)
@@ -172,16 +169,23 @@ def batch_classify(
     special cases when one applies; for n <= oracle_up_to the ring also runs
     every `hilbert.run_checks` check, and `oracle_agree` says that all of
     them passed and that the agreed verdict is the curve's b2 >= a2 + c2.
+
+    The budget counts one unit per curve, C(max_n, 3) in all, checked before
+    any row; each oracle row's corner enumeration is charged on its own.
     """
     if max_n < 3:
         raise InvalidCurve(f"need max_n >= 3, got {max_n}")
+    if (count := comb(max_n, 3)) > budget:
+        raise BudgetExceeded(
+            f"batch needs C(max_n, 3) = {count} curves, over the work budget of {budget}"
+        )
     rows = []
     for n in range(3, max_n + 1):
         for l in range(1, n):
             for m in range(l + 1, n):
                 spec = CurveSpec(n, l, m)
-                fg = fourgen_constants(n, n, *spec.ring_gens())
-                consts = _curve_form(fg)
+                consts = constants(spec)
+                fg = consts.fourgen
                 verdict = is_cm(consts)
                 closed = special_case_cm(spec)
                 if closed is not None and closed != verdict:
@@ -194,7 +198,7 @@ def batch_classify(
                 if n <= oracle_up_to:
                     ring = RingSpec(n, n, spec.ring_gens())
                     cs = corners(ring, budget)
-                    criteria, checks = run_checks(ring, cs, hilbert_data(ring, cs), result, None)
+                    criteria, checks = run_checks(cs, hilbert_data(ring, cs), result, None)
                     agree = (all(passed for _, passed, _ in checks)
                              and criteria["corner_unique"] == verdict)
                 rows.append(

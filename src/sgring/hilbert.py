@@ -5,7 +5,8 @@ corner of least weighted degree; walking the staircase rows below it (and,
 mirrored, the columns left of it) yields two ladders whose lengths sum to
 the class's contribution to the Hilbert constant, and whose degree profile
 determines when the Hilbert function settles onto the polynomial.  Ladders
-are walked on the corner grids, in lattice steps.  `run_checks` is the one
+are walked on the grids of a corner set the caller enumerated with
+`oracle.corners`; nothing here enumerates corners.  `run_checks` is the one
 table of Cohen-Macaulay criteria and fast-vs-oracle checks.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from . import fourgen
 from .core import RingSpec, group_order, subgroup_classes
 from .errors import BudgetExceeded, InfeasibleHilbertData, RingSpecError, TrivialSubgroup
-from .oracle import DEFAULT_BUDGET, CornerSet, corners, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
+from .oracle import DEFAULT_BUDGET, CornerSet, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
 Vec = tuple[int, int]
 
@@ -89,13 +90,9 @@ class HilbertData:
         return self.multiplicity * (n + 1) + self.constant
 
 
-def hilbert_data(
-    spec: RingSpec,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> HilbertData:
-    """Aggregate the per-class ladders into the Hilbert polynomial."""
-    cs = corner_set if corner_set is not None else corners(spec, budget)
+def hilbert_data(spec: RingSpec, cs: CornerSet) -> HilbertData:
+    """Aggregate the per-class ladders of the corner set `cs` into the
+    Hilbert polynomial."""
     constant = 0
     settle = 0
     for grid in cs.grids.values():
@@ -107,26 +104,22 @@ def hilbert_data(
     )
 
 
-def is_cm(
-    spec: RingSpec,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Cohen-Macaulay iff every congruence class has exactly one corner."""
-    cs = corner_set if corner_set is not None else corners(spec, budget)
+def is_cm(spec: RingSpec, cs: CornerSet) -> bool:
+    """Cohen-Macaulay iff every congruence class has exactly one corner in `cs`."""
     return all(len(g) == 1 for g in cs.grids.values())
 
 
-def run_checks(spec: RingSpec, cs: CornerSet, hd: HilbertData,
+def run_checks(cs: CornerSet, hd: HilbertData,
                basis: fourgen.BasisResult | None, hf_range: tuple[int, int] | None,
                with_oracle: bool = True) -> tuple[dict[str, bool], list[tuple[str, bool, str]]]:
     """The Cohen-Macaulay criteria, which must agree, and the (name, passed,
-    detail) fast-vs-oracle checks, which should all pass on every ring.
+    detail) fast-vs-oracle checks, which should all pass on the ring cs.spec.
 
     `basis` is the four-generator basis when the ring has two middle
     generators.  Without `with_oracle` nothing brute-force runs: no
     cone-shift criterion, no constants or box-size check.
     """
+    spec = cs.spec
     criteria = {
         "corner_unique": is_cm(spec, cs),
         "length_equals_multiplicity": len(cs) == hd.multiplicity,

@@ -3,8 +3,10 @@
 Corner staircases (the unique monomial basis of R/(x^a, y^b)), semigroup
 membership through them, direct Hilbert-function counting, the bounded
 cone-shift Cohen-Macaulay check, and verbatim minimal searches for the
-four-generator constants.  Everything here is exact; enumerations abort
-with BudgetExceeded rather than truncate.
+four-generator constants.  Everything here is exact.  Only `corners`
+enumerates corners and charges the work budget, aborting with
+BudgetExceeded rather than truncating; the queries read the CornerSet
+they are given.
 """
 
 from __future__ import annotations
@@ -108,13 +110,9 @@ def corners(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> CornerSet:
     return CornerSet(spec, _corner_grids(spec, budget))
 
 
-def semigroup_contains(
-    spec: RingSpec,
-    v: Vec,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """True iff v is a nonnegative integer combination of the generators.
+def semigroup_contains(spec: RingSpec, v: Vec, cs: CornerSet) -> bool:
+    """True iff v is a nonnegative integer combination of the generators,
+    read off the ring's corner set `cs`.
 
     Subtracting (a, 0) or (0, b) while staying in S ends at a corner, so v
     lies in S iff it dominates a corner of its class.  Along a class's grid
@@ -124,7 +122,6 @@ def semigroup_contains(
     alpha, beta = v
     if alpha < 0 or beta < 0:
         return False
-    cs = corner_set if corner_set is not None else corners(spec, budget)
     grid = cs.grids.get(class_of(spec, v))
     if grid is None:
         return False
@@ -168,25 +165,17 @@ def _count_order_n(grid: tuple[Vec, ...], n: int) -> int:
     return count
 
 
-def hilbert_function(
-    spec: RingSpec,
-    n: int,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """lambda((X,Y)^n / (X,Y)^(n+1)) by exact counting, X = x^a, Y = y^b."""
+def hilbert_function(spec: RingSpec, n: int, cs: CornerSet) -> int:
+    """lambda((X,Y)^n / (X,Y)^(n+1)) by exact counting on the corner set `cs`,
+    X = x^a, Y = y^b."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    cs = corner_set if corner_set is not None else corners(spec, budget)
     return sum(_count_order_n(grid, n) for grid in cs.grids.values())
 
 
-def gsw_cm_check(
-    spec: RingSpec,
-    corner_set: CornerSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[bool, Vec | None]:
-    """Cone-shift Cohen-Macaulay test with shifts (a, 0) and (0, b).
+def gsw_cm_check(spec: RingSpec, cs: CornerSet) -> tuple[bool, Vec | None]:
+    """Cone-shift Cohen-Macaulay test with shifts (a, 0) and (0, b), on the
+    corner set `cs`.
 
     Searches for a group-lattice point v outside S with both v + (a, 0) and
     v + (0, b) inside S.  Both shifted memberships force v to be
@@ -197,7 +186,6 @@ def gsw_cm_check(
     witness exists, else (False, witness) with the (beta, alpha)-least
     witness.
     """
-    cs = corner_set if corner_set is not None else corners(spec, budget)
     a, b = spec.a, spec.b
     best = None
     for (p, q), grid in cs.grids.items():

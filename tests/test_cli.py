@@ -330,6 +330,22 @@ def test_batch_json(capsys):
     assert [r["is_cm"] for r in payload] == [True, True, False, True]
 
 
+def test_batch_counts_curves_against_budget(capsys):
+    # C(100000, 3) curves are counted before any row is classified
+    start = time.perf_counter()
+    code, out, err = run(capsys, "batch", "--curves", "--max-n", "100000", "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == "" and "budget" in err
+
+
+def test_batch_budget_boundary(capsys):
+    # one unit per curve: C(30, 3) = 4060 curves with n <= 30
+    code, out, _ = run(capsys, "batch", "--curves", "--max-n", "30", "--budget", "4060")
+    assert code == 0 and len(out.splitlines()) == 1 + 4060
+    code, out, err = run(capsys, "batch", "--curves", "--max-n", "30", "--budget", "4059")
+    assert code == 69 and out == "" and "4060 curves" in err
+
+
 def test_verify_macaulay(capsys):
     code, out, _ = run(capsys, "verify", MACAULAY_JSON, "--hf-range", "0..4")
     assert code == 0

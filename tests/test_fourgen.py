@@ -370,7 +370,7 @@ def test_run_checks_flags_a_missing_basis_monomial():
     hd = hilbert_data(spec, cs)
 
     def basis_check(basis):
-        _, checks = run_checks(spec, cs, hd, basis, None, with_oracle=False)
+        _, checks = run_checks(cs, hd, basis, None, with_oracle=False)
         return next(passed for name, passed, _ in checks if name == "basis_equals_corners")
 
     assert basis_check(r)

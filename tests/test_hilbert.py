@@ -45,24 +45,27 @@ def test_staircase_rejects_foreign_class():
 
 
 def test_hilbert_data_examples():
-    hd = hilbert_data(MACAULAY)
+    hd = hilbert_data(MACAULAY, corners(MACAULAY))
     assert (hd.multiplicity, hd.constant, hd.stabilization) == (4, 1, 0)
     assert (hd.slope, hd.intercept) == (4, 5)
 
-    hd = hilbert_data(RING_11)
+    hd = hilbert_data(RING_11, corners(RING_11))
     assert (hd.multiplicity, hd.constant, hd.stabilization) == (6, 30, 9)
     contribs = sorted(len(rows) + len(cols) for _, rows, cols, _, _ in
                       map(_ladders, corners(RING_11).grids.values()))
     assert contribs == [0, 2, 3, 6, 9, 10]
 
-    hd = hilbert_data(RingSpec(2, 3, ()))
+    cs = corners(RingSpec(2, 3, ()))
+    hd = hilbert_data(cs.spec, cs)
     assert (hd.multiplicity, hd.constant, hd.stabilization) == (1, 0, 0)
 
 
 def test_is_cm_examples():
-    assert not is_cm(MACAULAY)
-    assert is_cm(RingSpec(4, 4, ((3, 1),)))
-    assert is_cm(RingSpec(2, 3, ()))
+    assert not is_cm(MACAULAY, corners(MACAULAY))
+    cs = corners(RingSpec(4, 4, ((3, 1),)))
+    assert is_cm(cs.spec, cs)
+    cs = corners(RingSpec(2, 3, ()))
+    assert is_cm(cs.spec, cs)
 
 
 def test_polynomial_matches_function_on_window():
@@ -100,8 +103,8 @@ def test_hilbert_data_random_rings(data):
 
 def test_cm_forces_zero_constant_and_stabilization():
     for spec in small_specs_for_crosscheck():
-        if is_cm(spec):
-            hd = hilbert_data(spec)
+        if is_cm(spec, corners(spec)):
+            hd = hilbert_data(spec, corners(spec))
             assert hd.constant == 0 and hd.stabilization == 0
 
 
@@ -129,13 +132,13 @@ def test_length_equals_multiplicity_iff_cm():
 
 def test_construct_examples():
     spec = construct_ring(2, 3, [(1, 1)], 2, 1)
-    hd = hilbert_data(spec)
+    hd = hilbert_data(spec, corners(spec))
     assert (hd.multiplicity, hd.constant, hd.stabilization) == (6, 2, 1)
 
     spec = construct_ring(2, 2, [(1, 1)], 0, 0)
-    hd = hilbert_data(spec)
+    hd = hilbert_data(spec, corners(spec))
     assert (hd.multiplicity, hd.constant, hd.stabilization) == (2, 0, 0)
-    assert is_cm(spec)
+    assert is_cm(spec, corners(spec))
 
 
 def test_construct_rejects_trivial_subgroup():
@@ -162,7 +165,7 @@ def test_construct_roundtrip_sample():
                 continue
             for c, m in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 1), (4, 3)]:
                 spec = construct_ring(a, b, [gen], c, m)
-                hd = hilbert_data(spec)
+                hd = hilbert_data(spec, corners(spec))
                 group = subgroup_classes(spec)
                 assert (hd.multiplicity, hd.constant, hd.stabilization) == (len(group), c, m)
                 extra = c if m == 0 else c - m

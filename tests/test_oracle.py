@@ -106,16 +106,17 @@ def test_corners_match_worklist_on_larger_rings():
 
 
 def test_hilbert_function_examples():
-    assert hilbert_function(MACAULAY, 0) == 5
-    assert hilbert_function(MACAULAY, 1) == 9
+    assert hilbert_function(MACAULAY, 0, corners(MACAULAY)) == 5
+    assert hilbert_function(MACAULAY, 1, corners(MACAULAY)) == 9
+    cs = corners(RingSpec(2, 3, ()))
     for n in range(5):
-        assert hilbert_function(RingSpec(2, 3, ()), n) == n + 1
+        assert hilbert_function(cs.spec, n, cs) == n + 1
 
 
 def test_hilbert_function_matches_region_scan():
     for spec in small_specs_for_crosscheck()[:8]:
         for n in range(3):
-            assert hilbert_function(spec, n) == hilbert_function_reference(spec, n), (spec, n)
+            assert hilbert_function(spec, n, corners(spec)) == hilbert_function_reference(spec, n), (spec, n)
 
 
 def test_hilbert_function_first_difference_stabilizes():
@@ -127,14 +128,16 @@ def test_hilbert_function_first_difference_stabilizes():
 
 
 def test_gsw_examples():
-    assert gsw_cm_check(MACAULAY) == (False, (2, 2))
-    assert gsw_cm_check(RingSpec(2, 3, ())) == (True, None)
-    assert gsw_cm_check(RingSpec(4, 4, ((3, 1),))) == (True, None)
+    assert gsw_cm_check(MACAULAY, corners(MACAULAY)) == (False, (2, 2))
+    cs = corners(RingSpec(2, 3, ()))
+    assert gsw_cm_check(cs.spec, cs) == (True, None)
+    cs = corners(RingSpec(4, 4, ((3, 1),)))
+    assert gsw_cm_check(cs.spec, cs) == (True, None)
 
 
 def test_gsw_matches_reference():
     for spec in small_specs_for_crosscheck():
-        assert gsw_cm_check(spec) == gsw_reference(spec), spec
+        assert gsw_cm_check(spec, corners(spec)) == gsw_reference(spec), spec
 
 
 @given(st.data())
@@ -151,13 +154,13 @@ def test_gsw_matches_reference_random(data):
         )
     )
     spec = RingSpec(a, b, tuple(gens))
-    assert gsw_cm_check(spec) == gsw_reference(spec)
+    assert gsw_cm_check(spec, corners(spec)) == gsw_reference(spec)
 
 
 def test_gsw_agrees_with_length_criterion():
     for spec in small_specs_for_crosscheck():
         cm = len(corners(spec)) == len(subgroup_classes(spec))
-        assert gsw_cm_check(spec)[0] == cm
+        assert gsw_cm_check(spec, corners(spec))[0] == cm
 
 
 def test_budget_exceeded():
