@@ -28,7 +28,7 @@ from .errors import (
     ZeroGenerator,
     ZeroGeneratorPair,
 )
-from .fourgen import BasisResult, FourGenConstants, TraceStep, candidate_box, length_bound, monomial_basis
+from .fourgen import BasisResult, FourGenConstants, TraceStep, length_bound, monomial_basis
 from .fourgen import constants as fourgen_constants
 from .fourgen import is_cm as is_cm_fourgen
 from .hilbert import HilbertData, construct_ring, hilbert_data
@@ -70,7 +70,6 @@ __all__ = [
     "ZeroGenerator",
     "ZeroGeneratorPair",
     "batch_classify",
-    "candidate_box",
     "class_of",
     "construct_ring",
     "corners",

@@ -44,7 +44,7 @@ EXIT_IO = 74
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 64 instead of argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self.prog + ": error: " + message) from None
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 class _Subcommand(_Parser):
@@ -234,9 +234,9 @@ def cmd_basis(args) -> int:
     # a3 <= |H| iterations; the exact basis size is checked before any listing
     if (h := group_order(spec)) > args.budget:
         raise BudgetExceeded(f"|H| = {h} exceeds the work budget {args.budget}")
-    consts = fourgen.constants(spec.a, spec.b, *spec.gens)
+    result = _fourgen_basis(spec)
+    consts = result.consts
     cm = fourgen.is_cm(consts)
-    result = fourgen.monomial_basis(consts)
     if (size := sum(result.widths)) > args.budget:
         raise BudgetExceeded(f"basis size {size} exceeds the work budget {args.budget}")
     n_for_c = consts.n if curve_mode else 0
@@ -305,29 +305,23 @@ def cmd_batch(args) -> int:
         raise RingSpecError("batch currently supports --curves only")
     rows = curve.batch_classify(args.max_n, oracle_up_to=args.oracle_up_to,
                                 budget=args.budget)
-    with_oracle = args.oracle_up_to > 0
+    records = []
+    for r in rows:
+        record = {"n": r.n, "l": r.l, "m": r.m, "is_cm": r.is_cm, "H": r.group_order,
+                  "basis_size": r.basis_size, "bound_attained": r.bound_attained}
+        if args.oracle_up_to > 0:
+            record["oracle_agree"] = r.oracle_agree
+        records.append(record)
     if args.json:
-        payload = []
-        for r in rows:
-            item = {"n": r.n, "l": r.l, "m": r.m, "is_cm": r.is_cm, "H": r.group_order,
-                    "basis_size": r.basis_size, "bound_attained": r.bound_attained}
-            if with_oracle:
-                item["oracle_agree"] = r.oracle_agree
-            payload.append(item)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
+        # the keys in insertion order are the columns; every batch has the
+        # curve (3, 1, 2), and csv writes None as an empty cell
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["n", "l", "m", "is_cm", "H", "basis_size", "bound_attained"]
-        if with_oracle:
-            header.append("oracle_agree")
-        writer.writerow(header)
-        for r in rows:
-            row = [r.n, r.l, r.m, _bool(r.is_cm), r.group_order, r.basis_size,
-                   _bool(r.bound_attained)]
-            if with_oracle:
-                row.append("" if r.oracle_agree is None else _bool(r.oracle_agree))
-            writer.writerow(row)
+        writer = csv.DictWriter(buf, list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({k: _bool(v) if isinstance(v, bool) else v for k, v in rec.items()}
+                         for rec in records)
         text = buf.getvalue()
     if args.out:
         try:
@@ -438,11 +432,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            sys.stderr.write(exc.code + "\n")
-            return EXIT_USAGE
-        return EXIT_OK if not exc.code else EXIT_USAGE
+    except SystemExit as exc:  # --help exits 0, a usage error 64
+        return exc.code
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -171,7 +171,9 @@ def batch_classify(
     them passed and that the agreed verdict is the curve's b2 >= a2 + c2.
 
     The budget counts one unit per curve, C(max_n, 3) in all, checked before
-    any row; each oracle row's corner enumeration is charged on its own.
+    any row.  The oracle rows share what is left: each row's corner
+    enumeration may spend only the remainder, and its generator steps,
+    |corners| x 2, are taken off it before the next row.
     """
     if max_n < 3:
         raise InvalidCurve(f"need max_n >= 3, got {max_n}")
@@ -179,6 +181,7 @@ def batch_classify(
         raise BudgetExceeded(
             f"batch needs C(max_n, 3) = {count} curves, over the work budget of {budget}"
         )
+    left = budget - count
     rows = []
     for n in range(3, max_n + 1):
         for l in range(1, n):
@@ -197,7 +200,8 @@ def batch_classify(
                 agree = None
                 if n <= oracle_up_to:
                     ring = RingSpec(n, n, spec.ring_gens())
-                    cs = corners(ring, budget)
+                    cs = corners(ring, left)
+                    left -= len(cs) * len(ring.gens)
                     criteria, checks = run_checks(cs, hilbert_data(ring, cs), result, None)
                     agree = (all(passed for _, passed, _ in checks)
                              and criteria["corner_unique"] == verdict)

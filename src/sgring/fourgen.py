@@ -123,16 +123,6 @@ def constants(d: int, n: int, el: Vec, fm: Vec) -> FourGenConstants:
     )
 
 
-def candidate_box(consts: FourGenConstants) -> frozenset[Vec]:
-    """Seed set: pairs with a < a1, b < b2 joined with a < a3, b < b1.
-
-    Its size is group_order; it maps to one monomial per congruence class.
-    """
-    box = {(a, b) for a in range(consts.a1) for b in range(consts.b2)}
-    box.update((a, b) for a in range(consts.a3) for b in range(consts.b1))
-    return frozenset(box)
-
-
 def is_cm(consts: FourGenConstants) -> bool:
     """Cohen-Macaulay iff the second relation has no negative coordinate."""
     return consts.g2 >= 0 and consts.h2 >= 0

@@ -116,8 +116,11 @@ def run_checks(cs: CornerSet, hd: HilbertData,
     detail) fast-vs-oracle checks, which should all pass on the ring cs.spec.
 
     `basis` is the four-generator basis when the ring has two middle
-    generators.  Without `with_oracle` nothing brute-force runs: no
-    cone-shift criterion, no constants or box-size check.
+    generators.  Its seed box, the first b2 rows of its widths, is checked
+    to hold exactly |H| pairs, with |H| taken from the Hermite form of the
+    lattice rather than from the relation constants.  Without `with_oracle`
+    nothing brute-force runs: no cone-shift criterion, no constants or
+    seed-box check.
     """
     spec = cs.spec
     criteria = {
@@ -143,16 +146,14 @@ def run_checks(cs: CornerSet, hd: HilbertData,
             f"HF({lo}..{hi}) = {values}, equals P(n) exactly for n >= {hd.stabilization}",
         ))
     if basis is not None:
-        consts = basis.consts
         if with_oracle:
             brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
-            checks.append(("constants", brute == consts, f"fast {consts} vs brute force"))
+            checks.append(("constants", brute == basis.consts, f"fast {basis.consts} vs brute force"))
         checks.append(("basis_equals_corners", basis.monomials == frozenset(cs.corners),
                        f"basis size {sum(basis.widths)}, corner count {len(cs)}"))
         if with_oracle:
-            checks.append(("candidate_box_size",
-                           len(fourgen.candidate_box(consts)) == consts.group_order,
-                           f"|B0| vs |H| = {consts.group_order}"))
+            h = group_order(spec)
+            checks.append(("candidate_box_size", basis.initial_size == h, f"|B0| vs |H| = {h}"))
     return criteria, checks
 
 

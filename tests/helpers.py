@@ -12,7 +12,7 @@ from math import prod
 
 from sgring.core import RingSpec, _lattice_form, class_of, order_of
 from sgring.errors import BudgetExceeded, NonTermination
-from sgring.fourgen import FourGenConstants, TraceStep, _solve, candidate_box
+from sgring.fourgen import FourGenConstants, TraceStep, _solve
 
 MACAULAY = RingSpec(4, 4, ((3, 1), (1, 3)))
 RING_11 = RingSpec(2, 3, ((11, 1), (1, 11)))
@@ -135,6 +135,16 @@ def constants_walk(d: int, n: int, el, fm) -> FourGenConstants:
         a2=a2, b2=b2, g2=g2, h2=h2,
         a3=a3, b3=b3, g3=g3, h3=h3,
     )
+
+
+def candidate_box(consts: FourGenConstants) -> frozenset[tuple[int, int]]:
+    """Seed set: pairs with a < a1, b < b2 joined with a < a3, b < b1.
+
+    Its size is group_order; it maps to one monomial per congruence class.
+    """
+    box = {(a, b) for a in range(consts.a1) for b in range(consts.b2)}
+    box.update((a, b) for a in range(consts.a3) for b in range(consts.b1))
+    return frozenset(box)
 
 
 def pair_log(consts: FourGenConstants, a: int, b: int) -> tuple[int, int]:

@@ -330,6 +330,33 @@ def test_batch_json(capsys):
     assert [r["is_cm"] for r in payload] == [True, True, False, True]
 
 
+_BATCH_ROWS_4 = [
+    {"n": 3, "l": 1, "m": 2, "is_cm": True, "H": 3, "basis_size": 3,
+     "bound_attained": False, "oracle_agree": True},
+    *({"n": 4, "l": l, "m": m, "is_cm": cm, "H": 4, "basis_size": size,
+       "bound_attained": False, "oracle_agree": None}
+      for l, m, cm, size in [(1, 2, True, 4), (1, 3, False, 5), (2, 3, True, 4)]),
+]
+
+
+def test_batch_oracle_output_pinned(capsys):
+    # rows above --oracle-up-to have an empty oracle_agree cell in CSV and
+    # null in JSON
+    argv = ["batch", "--curves", "--max-n", "4", "--oracle-up-to", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        "n,l,m,is_cm,H,basis_size,bound_attained,oracle_agree\n"
+        "3,1,2,true,3,3,false,true\n"
+        "4,1,2,true,4,4,false,\n"
+        "4,1,3,false,4,5,false,\n"
+        "4,2,3,true,4,4,false,\n"
+    )
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_BATCH_ROWS_4, indent=2, sort_keys=True) + "\n"
+
+
 def test_batch_counts_curves_against_budget(capsys):
     # C(100000, 3) curves are counted before any row is classified
     start = time.perf_counter()
@@ -344,6 +371,13 @@ def test_batch_budget_boundary(capsys):
     assert code == 0 and len(out.splitlines()) == 1 + 4060
     code, out, err = run(capsys, "batch", "--curves", "--max-n", "30", "--budget", "4059")
     assert code == 69 and out == "" and "4060 curves" in err
+
+
+def test_batch_oracle_rows_share_the_budget(capsys):
+    # the 120 curves with n <= 10 leave nothing for the oracle rows
+    code, out, err = run(capsys, "batch", "--curves", "--max-n", "10",
+                         "--oracle-up-to", "10", "--budget", "120")
+    assert code == 69 and out == "" and "budget" in err
 
 
 def test_verify_macaulay(capsys):

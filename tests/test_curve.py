@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import YDEGS_23_2_18, iter_curves
+from helpers import YDEGS_23_2_18, candidate_box, iter_curves
 from sgring.core import RingSpec
 from sgring.curve import (
     BatchRow,
@@ -14,8 +14,7 @@ from sgring.curve import (
     is_cm,
     special_case_cm,
 )
-from sgring.errors import InvalidCurve
-from sgring.fourgen import candidate_box
+from sgring.errors import BudgetExceeded, InvalidCurve
 from sgring.fourgen import constants as fourgen_constants
 from sgring.oracle import corners
 
@@ -151,6 +150,19 @@ def test_batch_oracle_column_reports_a_failed_check(monkeypatch):
     rows = batch_classify(6, oracle_up_to=5)
     assert all(r.oracle_agree is False for r in rows if r.n <= 5)
     assert all(r.oracle_agree is None for r in rows if r.n > 5)
+
+
+def test_batch_oracle_rows_share_the_budget():
+    # the 220 curves with n <= 12 use the whole budget before any oracle row
+    with pytest.raises(BudgetExceeded):
+        batch_classify(12, oracle_up_to=12, budget=220)
+    # C(6, 3) = 20 curves, then |corners| x 2 generator steps per oracle ring
+    steps = sum(2 * len(corners(RingSpec(n, n, CurveSpec(n, l, m).ring_gens())))
+                for n, l, m in iter_curves(6))
+    assert steps == 224
+    assert len(batch_classify(6, oracle_up_to=6, budget=20 + steps)) == 20
+    with pytest.raises(BudgetExceeded):
+        batch_classify(6, oracle_up_to=6, budget=20 + steps - 1)
 
 
 def test_batch_differential_run():

@@ -10,14 +10,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import VECS_12, constants_walk, monomial_basis_sets, pair_log
+from helpers import (
+    MACAULAY,
+    VECS_12,
+    candidate_box,
+    constants_walk,
+    monomial_basis_sets,
+    pair_log,
+)
 from sgring import fourgen
 from sgring.core import RingSpec, group_order, order_of, subgroup_classes
 from sgring.errors import InvalidDN, NegativeExponent, ZeroGeneratorPair
 from sgring.fourgen import (
     BasisResult,
     MonomialView,
-    candidate_box,
     constants,
     is_cm,
     length_bound,
@@ -376,3 +382,22 @@ def test_run_checks_flags_a_missing_basis_monomial():
     assert basis_check(r)
     corner = max(cs.corners)
     assert not basis_check(dataclasses.replace(r, monomials=r.monomials - {corner}))
+
+
+def test_run_checks_flags_a_seed_box_larger_than_the_group():
+    # with a3 and a1 one larger the seed box has 4 + 2 = 6 pairs, and so
+    # has a3*b2 - a2*b3; the check reads |H| = 4 off the lattice instead
+    cs = corners(MACAULAY)
+    hd = hilbert_data(MACAULAY, cs)
+    r = monomial_basis(constants(MACAULAY.a, MACAULAY.b, *MACAULAY.gens))
+    c = dataclasses.replace(r.consts, a3=r.consts.a3 + 1, a1=r.consts.a1 + 1)
+    wrong = dataclasses.replace(r, consts=c, initial_size=6)
+    assert len(candidate_box(c)) == c.group_order == 6
+
+    def box_check(basis):
+        _, checks = run_checks(cs, hd, basis, None)
+        return next((passed, detail) for name, passed, detail in checks
+                    if name == "candidate_box_size")
+
+    assert box_check(r) == (True, "|B0| vs |H| = 4")
+    assert box_check(wrong) == (False, "|B0| vs |H| = 4")
