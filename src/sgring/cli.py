@@ -350,6 +350,13 @@ def cmd_verify(args) -> int:
     spec = parse_ring(args.ring)
     hf_range = _parse_range(args.hf_range) if args.hf_range else None
     cs = corners(spec, args.budget)
+    if hf_range is not None:
+        lo, hi = hf_range
+        if (visits := (hi - lo + 1) * len(cs)) > args.budget:
+            raise BudgetExceeded(
+                f"the Hilbert-function count over {lo}..{hi} needs {hi - lo + 1} x {len(cs)} "
+                f"= {visits} corner visits, over the work budget of {args.budget}"
+            )
     _, checks = hilbert.run_checks(cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
     ok = all(passed for _, passed, _ in checks)
     if args.json:

@@ -1,7 +1,8 @@
 """Brute-force ground truth for the fast paths.
 
 Corner staircases (the unique monomial basis of R/(x^a, y^b)), semigroup
-membership through them, direct Hilbert-function counting, the bounded
+membership through them, the Hilbert function counted exactly box by box
+(each monomial charged to the cheapest corner below it), the bounded
 cone-shift Cohen-Macaulay check, and verbatim minimal searches for the
 four-generator constants.  Everything here is exact.  Only `corners`
 enumerates corners and charges the work budget, aborting with
@@ -129,48 +130,55 @@ def semigroup_contains(spec: RingSpec, v: Vec, cs: CornerSet) -> bool:
     return i > 0 and grid[i - 1][1] <= beta // spec.b
 
 
-def _count_order_n(grid: tuple[Vec, ...], n: int) -> int:
-    """Number of lattice points of one class at distance exactly n.
-
-    `grid` is the class's corner antichain, u ascending (v descending).  A
-    point (u, v) lies in S iff it dominates a corner, and its distance is
-    u + v - min(uc + vc) over dominated corners (the number of pure-power
-    steps down to the cheapest corner).  For u in [u_j, u_{j+1}) the
-    dominated set is the prefix 0..j; slicing v by the corner rows makes the
-    count a union of O(k^2) integer intervals.
-    """
-    k = len(grid)
-    count = 0
-    for j in range(k):
-        u_lo = grid[j][0]
-        u_hi = grid[j + 1][0] - 1 if j + 1 < k else None
-        wmin = None
-        for i in range(j, -1, -1):
-            ui, vi = grid[i]
-            s = ui + vi
-            if wmin is None or s < wmin:
-                wmin = s
-            # v = n - u + wmin must fall in [vi, previous row), i.e.
-            # u in (n + wmin - v_hi, n + wmin - vi]
-            hi = n + wmin - vi
-            if u_hi is not None and u_hi < hi:
-                hi = u_hi
-            lo = u_lo
-            if i > 0:
-                cut = n + wmin - grid[i - 1][1] + 1
-                if cut > lo:
-                    lo = cut
-            if hi >= lo:
-                count += hi - lo + 1
-    return count
-
-
 def hilbert_function(spec: RingSpec, n: int, cs: CornerSet) -> int:
     """lambda((X,Y)^n / (X,Y)^(n+1)) by exact counting on the corner set `cs`,
-    X = x^a, Y = y^b."""
+    X = x^a, Y = y^b.
+
+    A point (u, v) of a class lies in S iff it dominates a corner, and its
+    order is u + v - min(s) over the corners it dominates, s = uc + vc.
+    Along the grid (u ascending, v descending) the dominated corners form an
+    interval, and each point is charged to the leftmost cheapest of them, so
+    every point of S is charged exactly once.  Corner i is charged the box
+    [u_i, u_R) x [v_i, v_L), where L is the nearest corner to its left with
+    s_L <= s_i and R the nearest to its right with s_R < s_i (an absent side
+    is unbounded): a point of the box dominates i and no corner outside
+    (L, R), and the corners of (L, R) cost more left of i and no less right
+    of it.  In the box, order n is the diagonal u + v = s_i + n, which holds
+    min(n+1, u_R - u_i) - max(0, n+1 - (v_L - v_i)) points when that is
+    positive.  One monotonic-stack pass over the grid finds every L and R;
+    a class with a single corner contributes n + 1.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return sum(_count_order_n(grid, n) for grid in cs.grids.values())
+    m = n + 1
+    total = 0
+    for grid in cs.grids.values():
+        if len(grid) == 1:
+            total += m
+            continue
+        # The stack holds the corners still waiting for their R, s
+        # non-decreasing, as (s, u, v, h) with h = min(n+1, v_L - v).  Its top
+        # is kept unpacked in ts, tu, tv, th; ts = -1 marks an empty stack.
+        below: list[tuple[int, int, int, int]] = []
+        grid_iter = iter(grid)
+        tu, tv = next(grid_iter)
+        ts, th = tu + tv, m  # the first corner has no L
+        for u, v in grid_iter:
+            s = u + v
+            while ts > s:  # (u, v) is the top's R: charge the top's box
+                c = th + (u - tu) - m
+                total += th if c > th else c if c > 0 else 0
+                ts, tu, tv, th = below.pop() if below else (-1, 0, 0, 0)
+            if ts < 0:  # no L
+                th = m
+            else:  # the top is this corner's L
+                below.append((ts, tu, tv, th))
+                th = tv - v if tv - v < m else m
+            ts, tu, tv = s, u, v
+        total += th  # the corners left on the stack have no R
+        for entry in below:
+            total += entry[3]
+    return total
 
 
 def gsw_cm_check(spec: RingSpec, cs: CornerSet) -> tuple[bool, Vec | None]:

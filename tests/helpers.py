@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, count
 from math import prod
 
-from sgring.core import RingSpec, _lattice_form, class_of, order_of
+from sgring.core import RingSpec, Vec, _lattice_form, class_of, order_of
 from sgring.errors import BudgetExceeded, NonTermination
 from sgring.fourgen import FourGenConstants, TraceStep, _solve
 
@@ -267,6 +267,42 @@ def hilbert_function_reference(spec: RingSpec, n: int) -> int:
         for y in range(bmax + 1):
             if order_in_powers_reference(spec, (x, y), member) == n:
                 count += 1
+    return count
+
+
+def _count_order_n(grid: tuple[Vec, ...], n: int) -> int:
+    """Number of lattice points of one class at distance exactly n.
+
+    `grid` is the class's corner antichain, u ascending (v descending).  A
+    point (u, v) lies in S iff it dominates a corner, and its distance is
+    u + v - min(uc + vc) over dominated corners (the number of pure-power
+    steps down to the cheapest corner).  For u in [u_j, u_{j+1}) the
+    dominated set is the prefix 0..j; slicing v by the corner rows makes the
+    count a union of O(k^2) integer intervals.
+    """
+    k = len(grid)
+    count = 0
+    for j in range(k):
+        u_lo = grid[j][0]
+        u_hi = grid[j + 1][0] - 1 if j + 1 < k else None
+        wmin = None
+        for i in range(j, -1, -1):
+            ui, vi = grid[i]
+            s = ui + vi
+            if wmin is None or s < wmin:
+                wmin = s
+            # v = n - u + wmin must fall in [vi, previous row), i.e.
+            # u in (n + wmin - v_hi, n + wmin - vi]
+            hi = n + wmin - vi
+            if u_hi is not None and u_hi < hi:
+                hi = u_hi
+            lo = u_lo
+            if i > 0:
+                cut = n + wmin - grid[i - 1][1] + 1
+                if cut > lo:
+                    lo = cut
+            if hi >= lo:
+                count += hi - lo + 1
     return count
 
 

@@ -397,6 +397,23 @@ def test_verify_eleven_ring(capsys):
             "basis_equals_corners"} <= names
 
 
+def test_verify_counts_hf_range_against_budget(capsys):
+    # 10^8 + 1 orders x 5 corners are charged before any count
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "4,4;3:1,1:3", "--hf-range", "0..100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == "" and "Hilbert-function" in err
+
+
+def test_verify_hf_range_budget_boundary(capsys):
+    # one corner visit per order: 100 orders x 5 corners; the corners
+    # themselves take 5 x 2 generator steps
+    code, out, _ = run(capsys, "verify", "4,4;3:1,1:3", "--hf-range", "0..99", "--budget", "500")
+    assert code == 0 and "all checks passed" in out
+    code, out, err = run(capsys, "verify", "4,4;3:1,1:3", "--hf-range", "0..99", "--budget", "499")
+    assert code == 69 and out == "" and "100 x 5 = 500 corner visits" in err
+
+
 def test_verify_trivial(capsys):
     code, out, _ = run(capsys, "verify", "2,3;")
     assert code == 0

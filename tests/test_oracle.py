@@ -15,6 +15,7 @@ from helpers import (
     MACAULAY,
     RING_7,
     RING_11,
+    _count_order_n,
     corner_grids_worklist,
     corners_reference,
     gsw_reference,
@@ -23,6 +24,7 @@ from helpers import (
 )
 from sgring.core import RingSpec, subgroup_classes
 from sgring.errors import BudgetExceeded
+from sgring.hilbert import hilbert_data
 from sgring.oracle import (
     corners,
     fourgen_constants_bruteforce,
@@ -114,9 +116,32 @@ def test_hilbert_function_examples():
 
 
 def test_hilbert_function_matches_region_scan():
-    for spec in small_specs_for_crosscheck()[:8]:
-        for n in range(3):
-            assert hilbert_function(spec, n, corners(spec)) == hilbert_function_reference(spec, n), (spec, n)
+    for spec in (*small_specs_for_crosscheck(), RING_7):
+        cs = corners(spec)
+        for n in range(hilbert_data(spec, cs).stabilization + 3):
+            assert hilbert_function(spec, n, cs) == hilbert_function_reference(spec, n), (spec, n)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_hilbert_function_matches_interval_count(data):
+    # the O(k^2) interval union per class is the reference for the stack pass
+    a = data.draw(st.integers(1, 25))
+    b = data.draw(st.integers(1, 25))
+    gens = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda g: g != (0, 0)),
+            min_size=0,
+            max_size=4,
+            unique=True,
+        )
+    )
+    spec = RingSpec(a, b, tuple(gens))
+    cs = corners(spec)
+    hd = hilbert_data(spec, cs)
+    for n in (*range(hd.stabilization + 6), 10**6):
+        assert hilbert_function(spec, n, cs) == sum(_count_order_n(g, n) for g in cs.grids.values()), n
+    assert hilbert_function(spec, 10**6, cs) == hd.value(10**6)
 
 
 def test_hilbert_function_first_difference_stabilizes():
