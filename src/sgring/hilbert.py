@@ -92,10 +92,13 @@ class HilbertData:
 
 def hilbert_data(spec: RingSpec, cs: CornerSet) -> HilbertData:
     """Aggregate the per-class ladders of the corner set `cs` into the
-    Hilbert polynomial."""
+    Hilbert polynomial.  A single-corner class has empty ladders and no
+    gap, so it adds nothing beyond its share of the multiplicity."""
     constant = 0
     settle = 0
     for grid in cs.grids.values():
+        if len(grid) == 1:
+            continue
         _, rows, cols, row_gap, col_gap = _ladders(grid)
         constant += len(rows) + len(cols)
         settle = max(settle, row_gap, col_gap)

@@ -1,13 +1,14 @@
 """Brute-force ground truth for the fast paths.
 
-Corner staircases (the unique monomial basis of R/(x^a, y^b)), semigroup
-membership through them, the Hilbert function counted exactly box by box
-(each monomial charged to the cheapest corner below it), the bounded
-cone-shift Cohen-Macaulay check, and verbatim minimal searches for the
-four-generator constants.  Everything here is exact.  Only `corners`
-enumerates corners and charges the work budget, aborting with
-BudgetExceeded rather than truncating; the queries read the CornerSet
-they are given.
+Corner staircases (the unique monomial basis of R/(x^a, y^b)), found by
+one heap walk in which each candidate is pushed only in canonical
+generator order, semigroup membership through them, the Hilbert function
+counted exactly box by box (each monomial charged to the cheapest corner
+below it), the bounded cone-shift Cohen-Macaulay check, and verbatim
+minimal searches for the four-generator constants.  Everything here is
+exact.  Only `corners` enumerates corners and charges the work budget,
+aborting with BudgetExceeded rather than truncating; the queries read the
+CornerSet they are given.
 """
 
 from __future__ import annotations
@@ -70,13 +71,24 @@ def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
     c - (a, 0)).  So candidates leave a heap in increasing alpha + beta, and
     a popped point is a corner iff no corner already found in its class lies
     componentwise below it: any such point has smaller alpha + beta.  Only
-    corners are expanded, and each class's grid is built in u order.  A
-    point pushed twice is rejected by the same test when popped again.
+    corners are expanded, and each class's grid is built in u order.
 
-    Work is counted in generator steps, one per corner + g formed: in all
-    |corners| x |gens|, which bounds time and the heap size.  Every class of
-    H has a corner, so |H| x |gens| steps above `budget` raise before any
-    work.
+    A heap entry is one int packing (x + y, x, y, j), most significant
+    first, where j indexes the generator added last; a corner popped with
+    index j pushes only c + g_j' for j' >= j.  This is exact:
+      1. Write a corner as a sum of generators sorted by index.  Each prefix
+         of that sum is a corner (a corner minus a summand is one), so every
+         corner is pushed along its sorted path.
+      2. Copies of one point pop next to each other, least j first, and the
+         dominance test rejects the later copies.
+      3. Two prefixes of a corner never share a class of H: their difference
+         would be (ma, nb) with m, n >= 0 not both zero, and the corner would
+         not be minimal.  So a corner has at most |H| - 1 summands, and every
+         pushed coordinate is below 2^w, w = (max exponent x |H|).bit_length().
+
+    Work is counted in generator steps, t per corner accepted: in all
+    |corners| x t, which bounds time and the heap size.  Every class of H
+    has a corner, so |H| x t steps above `budget` raise before any work.
     """
     a, b, gens = spec.a, spec.b, spec.gens
     t = len(gens)
@@ -85,11 +97,19 @@ def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
             f"corner enumeration needs at least |H| x t = {h} x {t} "
             f"generator steps, over the work budget of {budget}"
         )
+    jb = t.bit_length()
+    w = (max((e for g in gens for e in g), default=0) * h).bit_length()
+    jmask, wmask = (1 << jb) - 1, (1 << w) - 1
+    # generator j as a packed increment that also sets the index field to j
+    incs = [(((gp + gq) << 2 * w | gp << w | gq) << jb) + j for j, (gp, gq) in enumerate(gens)]
     grids: dict[Vec, list[Vec]] = {}
-    heap = [(0, 0, 0)]
+    heap = [0]
     steps = 0
     while heap:
-        _, x, y = heappop(heap)
+        key = heappop(heap)
+        j = key & jmask
+        key -= j
+        x, y = (key >> w + jb) & wmask, (key >> jb) & wmask
         grid = grids.setdefault((x % a, y % b), [])
         u, v = x // a, y // b
         i = bisect_left(grid, (u + 1,))  # corners with u' <= u precede i
@@ -101,8 +121,8 @@ def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
             raise BudgetExceeded(
                 f"corner enumeration exceeded the work budget of {budget} generator steps"
             )
-        for gp, gq in gens:
-            heappush(heap, (x + y + gp + gq, x + gp, y + gq))
+        for inc in incs[j:]:
+            heappush(heap, key + inc)
     return grids
 
 

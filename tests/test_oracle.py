@@ -8,7 +8,7 @@ scans, DP membership).
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -105,6 +105,37 @@ def test_corners_match_worklist_on_larger_rings():
         ref = corner_grids_worklist(a, b, spec.gens)
         expected = {cls: tuple(sorted(grid)) for cls, grid in sorted(ref.items())}
         assert corners(spec).grids == expected, spec
+
+
+@st.composite
+def _corner_rings(draw):
+    """a, b <= 30 and up to 6 middle generators, each free, a multiple k*g of
+    an earlier one, or a pure power (k*a, 0) or (0, k*b)."""
+    a, b = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind, k = draw(st.sampled_from("fmxy")), draw(st.integers(2, 3))
+        if kind == "m" and gens:
+            p, q = draw(st.sampled_from(gens))
+            gens.append((k * p, k * q))
+        elif kind == "x":
+            gens.append((k * a, 0))
+        elif kind == "y":
+            gens.append((0, k * b))
+        else:
+            gens.append(draw(st.tuples(st.integers(0, 2 * a), st.integers(0, 2 * b))
+                             .filter(lambda g: g != (0, 0))))
+    return RingSpec(a, b, tuple(gens))
+
+
+@given(_corner_rings())
+# exponents past 2^70: the packed heap fields outgrow machine words
+@example(RingSpec(5, 7, ((2**70, 3), (1, 2**70 + 1), (2**71, 6), (0, 14))))
+@settings(max_examples=40, deadline=None)
+def test_corners_match_worklist_random(spec):
+    ref = corner_grids_worklist(spec.a, spec.b, spec.gens)
+    expected = {cls: tuple(sorted(grid)) for cls, grid in sorted(ref.items())}
+    assert corners(spec).grids == expected
 
 
 def test_hilbert_function_examples():
@@ -226,6 +257,24 @@ def test_budget_counts_group_order_before_work():
     spec = RingSpec(501, 500, ((1, 1), (2, 3)))
     with pytest.raises(BudgetExceeded, match="250500"):
         corners(spec, budget=2 * 250500 - 1)
+
+
+@pytest.mark.parametrize("spec, message", [
+    # one generator: always |corners| = |H|, so the pre-check fires first
+    (RingSpec(5, 7, ((2, 3),)),
+     "corner enumeration needs at least |H| x t = 35 x 1 generator steps, "
+     "over the work budget of 34"),
+    (MACAULAY, "corner enumeration exceeded the work budget of 9 generator steps"),
+    (RingSpec(13, 17, ((1, 16), (12, 1), (5, 7), (3, 11))),
+     "corner enumeration exceeded the work budget of 2003 generator steps"),
+])
+def test_budget_boundary_message(spec, message):
+    t = len(spec.gens)
+    cs = corners(spec)
+    assert corners(spec, len(cs) * t).grids == cs.grids
+    with pytest.raises(BudgetExceeded) as exc:
+        corners(spec, len(cs) * t - 1)
+    assert str(exc.value) == message
 
 
 def test_bruteforce_constants_examples():
