@@ -6,7 +6,7 @@ ideal (x^a, y^b), and produce the monomial basis of R/(x^a, y^b).  Every
 fast path is validated against a brute-force oracle.
 """
 
-from .core import RingSpec, class_of, order_of, subgroup_classes
+from .core import DEFAULT_BUDGET, RingSpec, Work, class_of, order_of, subgroup_classes
 from .curve import CurveConstants, CurveSpec, batch_classify, special_case_cm
 from .curve import basis as curve_basis
 from .curve import constants as curve_constants
@@ -34,7 +34,6 @@ from .fourgen import is_cm as is_cm_fourgen
 from .hilbert import HilbertData, construct_ring, hilbert_data
 from .hilbert import is_cm as is_cm_general
 from .oracle import (
-    DEFAULT_BUDGET,
     CornerSet,
     corners,
     fourgen_constants_bruteforce,
@@ -67,6 +66,7 @@ __all__ = [
     "SgringError",
     "TraceStep",
     "TrivialSubgroup",
+    "Work",
     "ZeroGenerator",
     "ZeroGeneratorPair",
     "batch_classify",

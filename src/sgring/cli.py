@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import curve, fourgen, hilbert, oracle
-from .core import RingSpec, group_order
+from .core import DEFAULT_BUDGET, RingSpec, Work, group_order
 from .errors import (
     BudgetExceeded,
     DisagreementError,
@@ -30,7 +30,7 @@ from .errors import (
     RingSpecError,
     SgringError,
 )
-from .oracle import DEFAULT_BUDGET, corners
+from .oracle import corners
 
 EXIT_OK = 0
 EXIT_NOT_CM = 3
@@ -97,16 +97,17 @@ def _fourgen_basis(spec: RingSpec) -> fourgen.BasisResult | None:
     return fourgen.monomial_basis(fourgen.constants(spec.a, spec.b, spec.gens[0], spec.gens[1]))
 
 
-def build_report(spec: RingSpec, oracle_checked: bool = False, budget: int = DEFAULT_BUDGET,
+def build_report(spec: RingSpec, oracle_checked: bool = False, work: Work | None = None,
                  with_trace: bool = False) -> tuple[dict, oracle.CornerSet]:
     """Full analysis of one ring, and its corner set; raises DisagreementError
     if a check fails.  With `oracle_checked` every `verify` check runs, with
-    the Hilbert function checked on N..N+2."""
-    cs = corners(spec, budget)
+    the Hilbert function checked on N..N+2.  Every layer charges `work`."""
+    work = work or Work()
+    cs = corners(spec, work)
     hd = hilbert.hilbert_data(spec, cs)
     basis = _fourgen_basis(spec)
     hf_range = (hd.stabilization, hd.stabilization + 2) if oracle_checked else None
-    criteria, checks = hilbert.run_checks(cs, hd, basis, hf_range, oracle_checked)
+    criteria, checks = hilbert.run_checks(cs, hd, basis, hf_range, oracle_checked, work)
     for name, passed, detail in checks:
         if not passed:
             raise DisagreementError(f"check {name} failed for {spec}: {detail}")
@@ -128,11 +129,8 @@ def build_report(spec: RingSpec, oracle_checked: bool = False, budget: int = DEF
 
 
 def _trace_json(t: fourgen.TraceStep, curve_n: int = 0) -> dict:
-    """One JSON trace row; curve mode adds c* = h* / n."""
-    row = {
-        "branch": t.branch, "base": t.base, "a_star": t.a_star, "b_star": t.b_star,
-        "g_star": t.g_star, "h_star": t.h_star, "added": t.added, "size": t.size,
-    }
+    """One JSON trace row, the step's fields; curve mode adds c* = h* / n."""
+    row = dataclasses.asdict(t)
     if curve_n:
         row["c_star"] = t.h_star // curve_n
     return row
@@ -155,7 +153,7 @@ def _bool(v) -> str:
 
 def cmd_analyze(args) -> int:
     spec = parse_ring(args.ring)
-    report, cs = build_report(spec, args.oracle, args.budget, args.trace)
+    report, cs = build_report(spec, args.oracle, Work(args.budget), args.trace)
     if args.json:
         _emit_json(report)
     else:
@@ -193,15 +191,9 @@ def _plot_corners(cs: oracle.CornerSet) -> None:
         out.write(f"class {cls}: corners at steps {list(grid)} (u right, v down)\n")
         gset = set(grid)
         for v in range(max_v + 1):
-            line = []
-            for u in range(max_u + 1):
-                if (u, v) in gset:
-                    line.append("X")
-                elif any(uc <= u and vc <= v for uc, vc in grid):
-                    line.append("#")
-                else:
-                    line.append(".")
-            out.write("  " + "".join(line) + "\n")
+            out.write("  " + "".join("X" if (u, v) in gset
+                                     else "#" if any(uc <= u and vc <= v for uc, vc in grid)
+                                     else "." for u in range(max_u + 1)) + "\n")
 
 
 def _plot_pairs(result: fourgen.BasisResult) -> None:
@@ -230,15 +222,14 @@ def cmd_basis(args) -> int:
         if len(spec.gens) != 2:
             raise NotFourGen(f"basis needs exactly two middle generators, got {len(spec.gens)}")
         label = {"spec": ring_json(spec)}
-    # |H| bounds the constants search and the basis loop, which runs at most
-    # a3 <= |H| iterations; the exact basis size is checked before any listing
-    if (h := group_order(spec)) > args.budget:
-        raise BudgetExceeded(f"|H| = {h} exceeds the work budget {args.budget}")
+    # the seed box holds |H| pairs, and |H| bounds the constants search and the
+    # basis loop's a3 <= |H| iterations; the exact size is charged before any listing
+    work, h = Work(args.budget), group_order(spec)
+    work.forecast("basis", h, f"at least |H| = {h}")
     result = _fourgen_basis(spec)
     consts = result.consts
     cm = fourgen.is_cm(consts)
-    if (size := sum(result.widths)) > args.budget:
-        raise BudgetExceeded(f"basis size {size} exceeds the work budget {args.budget}")
+    work.charge("basis", size := sum(result.widths), f"basis size {size}, |H| = {h}")
     n_for_c = consts.n if curve_mode else 0
 
     if args.json:
@@ -277,9 +268,9 @@ def cmd_construct(args) -> int:
         class_gens = [(p, q) for p, q in json.loads(args.subgroup_gens)]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise RingSpecError(f"bad --subgroup-gens: {exc}") from exc
-    spec = hilbert.construct_ring(args.a, args.b, class_gens, args.constant, args.stab,
-                                  args.budget)
-    hd = hilbert.hilbert_data(spec, corners(spec, args.budget))
+    work = Work(args.budget)
+    spec = hilbert.construct_ring(args.a, args.b, class_gens, args.constant, args.stab, work)
+    hd = hilbert.hilbert_data(spec, corners(spec, work))
     payload = {
         "spec": ring_json(spec),
         "verification": {
@@ -303,8 +294,7 @@ def cmd_construct(args) -> int:
 def cmd_batch(args) -> int:
     if not args.curves:
         raise RingSpecError("batch currently supports --curves only")
-    rows = curve.batch_classify(args.max_n, oracle_up_to=args.oracle_up_to,
-                                budget=args.budget)
+    rows = curve.batch_classify(args.max_n, args.oracle_up_to, Work(args.budget))
     records = []
     for r in rows:
         record = {"n": r.n, "l": r.l, "m": r.m, "is_cm": r.is_cm, "H": r.group_order,
@@ -349,15 +339,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     spec = parse_ring(args.ring)
     hf_range = _parse_range(args.hf_range) if args.hf_range else None
-    cs = corners(spec, args.budget)
-    if hf_range is not None:
-        lo, hi = hf_range
-        if (visits := (hi - lo + 1) * len(cs)) > args.budget:
-            raise BudgetExceeded(
-                f"the Hilbert-function count over {lo}..{hi} needs {hi - lo + 1} x {len(cs)} "
-                f"= {visits} corner visits, over the work budget of {args.budget}"
-            )
-    _, checks = hilbert.run_checks(cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec), hf_range)
+    work = Work(args.budget)
+    cs = corners(spec, work)
+    _, checks = hilbert.run_checks(cs, hilbert.hilbert_data(spec, cs), _fourgen_basis(spec),
+                                   hf_range, work=work)
     ok = all(passed for _, passed, _ in checks)
     if args.json:
         _emit_json({
@@ -443,18 +428,13 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"sgring: {exc}\n")
-        return EXIT_BUDGET
     except (DisagreementError, IdentityViolation, NonTermination) as exc:
         sys.stderr.write(f"sgring: internal disagreement: {exc}\n")
         return EXIT_SOFTWARE
-    except SgringError as exc:
+    except (SgringError, OSError) as exc:
         sys.stderr.write(f"sgring: {exc}\n")
-        return EXIT_DATA
-    except OSError as exc:
-        sys.stderr.write(f"sgring: {exc}\n")
-        return EXIT_IO
+        return (EXIT_BUDGET if isinstance(exc, BudgetExceeded)
+                else EXIT_IO if isinstance(exc, OSError) else EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 A ring spec is the exponent data (a, b, gens).  The monomials of the ring
 form the semigroup S spanned over the nonnegative integers by
 (a, 0), (0, b) and the middle generators; congruence classes live in
-(Z/aZ) + (Z/bZ).  Everything here is exact: Python integers only.
+(Z/aZ) + (Z/bZ).  Everything here is exact: Python integers only.  `Work`
+is the work ledger that every layer charges.
 """
 
 from __future__ import annotations
@@ -11,9 +12,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import NegativeExponent, NonPositiveAB, ZeroGenerator
+from .errors import BudgetExceeded, NegativeExponent, NonPositiveAB, ZeroGenerator
 
 Vec = tuple[int, int]
+
+DEFAULT_BUDGET = 10_000_000
+
+
+class Work:
+    """The work ledger of one run: the budget, what is left of it, and the
+    units each layer has spent.  It is the only code that compares against
+    the budget.  A forecast, a lower bound that a later charge covers,
+    refuses without spending; a charge spends.  A refusal raises
+    BudgetExceeded naming the layer, its units, the budget and every spend.
+    """
+
+    UNITS = {"batch": "curves", "corners": "generator steps", "hilbert_function": "corner visits",
+             "bruteforce": "brute-force steps", "basis": "basis pairs"}
+    __slots__ = ("budget", "left", "spent")
+
+    def __init__(self, budget: int = DEFAULT_BUDGET):
+        self.budget, self.left, self.spent = budget, budget, {}
+
+    def forecast(self, layer: str, units: int, what: str) -> None:
+        if units > self.left:
+            self.charge(layer, units, what)  # refuses
+
+    def charge(self, layer: str, units: int, what: str = "") -> None:
+        if units > self.left:
+            spent = ", ".join(f"{k} {v} {self.UNITS[k]}" for k, v in self.spent.items())
+            raise BudgetExceeded(
+                f"{layer} needs {units} {self.UNITS[layer]} ({what}), over the {self.left} left "
+                f"of the work budget of {self.budget}; spent: {spent or 'nothing'}")
+        self.left -= units
+        self.spent[layer] = self.spent.get(layer, 0) + units
 
 
 @dataclass(frozen=True)
@@ -46,10 +78,6 @@ class RingSpec:
                 seen.add((p, q))
                 gens.append((p, q))
         object.__setattr__(self, "gens", tuple(gens))
-
-    @property
-    def modulus(self) -> Vec:
-        return (self.a, self.b)
 
 
 def class_of(spec: RingSpec, v: Vec) -> Vec:

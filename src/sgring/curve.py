@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .core import RingSpec
-from .errors import BudgetExceeded, DisagreementError, IdentityViolation, InvalidCurve
+from .core import RingSpec, Work
+from .errors import DisagreementError, IdentityViolation, InvalidCurve
 from .fourgen import BasisResult, FourGenConstants
 from .fourgen import constants as fourgen_constants, length_bound, monomial_basis
 from .hilbert import hilbert_data, run_checks
-from .oracle import DEFAULT_BUDGET, corners
+from .oracle import corners
 
 Vec = tuple[int, int]
 
@@ -161,7 +161,7 @@ class BatchRow:
 def batch_classify(
     max_n: int,
     oracle_up_to: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    work: Work | None = None,
 ) -> list[BatchRow]:
     """Classify every curve with 0 < l < m < n <= max_n, rows sorted by (n, l, m).
 
@@ -170,49 +170,36 @@ def batch_classify(
     every `hilbert.run_checks` check, and `oracle_agree` says that all of
     them passed and that the agreed verdict is the curve's b2 >= a2 + c2.
 
-    The budget counts one unit per curve, C(max_n, 3) in all, checked before
-    any row.  The oracle rows share what is left: each row's corner
-    enumeration may spend only the remainder, and its generator steps,
-    |corners| x 2, are taken off it before the next row.
+    `work` is charged one unit per curve, C(max_n, 3) in all, before any
+    row; the oracle rows' corner enumerations and brute-force constants
+    spend what is left.
     """
     if max_n < 3:
         raise InvalidCurve(f"need max_n >= 3, got {max_n}")
-    if (count := comb(max_n, 3)) > budget:
-        raise BudgetExceeded(
-            f"batch needs C(max_n, 3) = {count} curves, over the work budget of {budget}"
-        )
-    left = budget - count
+    work = work or Work()
+    work.charge("batch", comb(max_n, 3), f"C(max_n, 3) with max_n = {max_n}")
     rows = []
     for n in range(3, max_n + 1):
         for l in range(1, n):
             for m in range(l + 1, n):
                 spec = CurveSpec(n, l, m)
                 consts = constants(spec)
-                fg = consts.fourgen
                 verdict = is_cm(consts)
                 closed = special_case_cm(spec)
                 if closed is not None and closed != verdict:
                     raise DisagreementError(
-                        f"special-case verdict {closed} != {verdict} for {spec}"
-                    )
-                result = monomial_basis(fg)
-                attained = length_bound(fg, result)
+                        f"special-case verdict {closed} != {verdict} for {spec}")
+                result = monomial_basis(consts.fourgen)
                 agree = None
                 if n <= oracle_up_to:
                     ring = RingSpec(n, n, spec.ring_gens())
-                    cs = corners(ring, left)
-                    left -= len(cs) * len(ring.gens)
-                    criteria, checks = run_checks(cs, hilbert_data(ring, cs), result, None)
+                    cs = corners(ring, work)
+                    criteria, checks = run_checks(cs, hilbert_data(ring, cs), result, None,
+                                                  work=work)
                     agree = (all(passed for _, passed, _ in checks)
                              and criteria["corner_unique"] == verdict)
-                rows.append(
-                    BatchRow(
-                        n=n, l=l, m=m,
-                        is_cm=verdict,
-                        group_order=consts.group_order,
-                        basis_size=sum(result.widths),
-                        bound_attained=attained,
-                        oracle_agree=agree,
-                    )
-                )
+                rows.append(BatchRow(n=n, l=l, m=m, is_cm=verdict, group_order=consts.group_order,
+                                     basis_size=sum(result.widths),
+                                     bound_attained=length_bound(consts.fourgen, result),
+                                     oracle_agree=agree))
     return rows

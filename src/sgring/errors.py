@@ -22,12 +22,11 @@ class NegativeExponent(RingSpecError):
 
 
 class BudgetExceeded(SgringError):
-    """An exact enumeration would exceed the configured work budget.
+    """A layer's work would exceed what is left of the run's work budget.
 
-    Raised instead of silently truncating: the oracle never returns an
-    unverified answer.  Corner enumeration counts generator steps, one per
-    corner and middle generator (len(corners) x t in all), and raises
-    before any work when |H| x t alone exceeds the budget.
+    Raised only by the `core.Work` ledger, instead of silently truncating:
+    the oracle never returns an unverified answer.  The message names the
+    layer, its units, the budget and what each layer has spent.
     """
 
 

@@ -246,9 +246,7 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
 
     while g_star < 0 or h_star < 0:
         if len(trace) >= limit:
-            raise NonTermination(
-                f"basis loop exceeded {limit} iterations for {consts}"
-            )
+            raise NonTermination(f"basis loop exceeded {limit} iterations for {consts}")
         assert base >= 1  # loop invariant; rules are exclusive only then
         if a_star >= a1:
             branch, block = 4, [base] * b1
@@ -265,9 +263,7 @@ def monomial_basis(consts: FourGenConstants) -> BasisResult:
         widths += block
         added = sum(block)
         size += added
-        trace.append(
-            TraceStep(branch, base, a_star, b_star, g_star, h_star, added, size)
-        )
+        trace.append(TraceStep(branch, base, a_star, b_star, g_star, h_star, added, size))
 
     widths = tuple(widths)
     return BasisResult(

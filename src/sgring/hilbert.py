@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fourgen
-from .core import RingSpec, group_order, subgroup_classes
-from .errors import BudgetExceeded, InfeasibleHilbertData, RingSpecError, TrivialSubgroup
-from .oracle import DEFAULT_BUDGET, CornerSet, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
+from .core import RingSpec, Work, group_order, subgroup_classes
+from .errors import InfeasibleHilbertData, RingSpecError, TrivialSubgroup
+from .oracle import CornerSet, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
 Vec = tuple[int, int]
 
@@ -114,7 +114,8 @@ def is_cm(spec: RingSpec, cs: CornerSet) -> bool:
 
 def run_checks(cs: CornerSet, hd: HilbertData,
                basis: fourgen.BasisResult | None, hf_range: tuple[int, int] | None,
-               with_oracle: bool = True) -> tuple[dict[str, bool], list[tuple[str, bool, str]]]:
+               with_oracle: bool = True,
+               work: Work | None = None) -> tuple[dict[str, bool], list[tuple[str, bool, str]]]:
     """The Cohen-Macaulay criteria, which must agree, and the (name, passed,
     detail) fast-vs-oracle checks, which should all pass on the ring cs.spec.
 
@@ -123,9 +124,11 @@ def run_checks(cs: CornerSet, hd: HilbertData,
     to hold exactly |H| pairs, with |H| taken from the Hermite form of the
     lattice rather than from the relation constants.  Without `with_oracle`
     nothing brute-force runs: no cone-shift criterion, no constants or
-    seed-box check.
+    seed-box check.  `work` is charged the count's corner visits before it
+    runs and the brute-force constants' steps.
     """
     spec = cs.spec
+    work = work or Work()
     criteria = {
         "corner_unique": is_cm(spec, cs),
         "length_equals_multiplicity": len(cs) == hd.multiplicity,
@@ -141,6 +144,8 @@ def run_checks(cs: CornerSet, hd: HilbertData,
                " ".join(f"{k}={str(v).lower()}" for k, v in sorted(criteria.items())))]
     if hf_range is not None:
         lo, hi = hf_range
+        work.charge("hilbert_function", (hi - lo + 1) * len(cs),
+                    f"Hilbert-function count over {lo}..{hi}")
         values = [hilbert_function(spec, n, cs) for n in range(lo, hi + 1)]
         bad = [n for n, hf in zip(range(lo, hi + 1), values)
                if (hf == hd.value(n)) != (n >= hd.stabilization)]
@@ -150,7 +155,7 @@ def run_checks(cs: CornerSet, hd: HilbertData,
         ))
     if basis is not None:
         if with_oracle:
-            brute = fourgen_constants_bruteforce(spec.a, spec.b, spec.gens[0], spec.gens[1])
+            brute = fourgen_constants_bruteforce(spec.a, spec.b, *spec.gens, work)
             checks.append(("constants", brute == basis.consts, f"fast {basis.consts} vs brute force"))
         checks.append(("basis_equals_corners", basis.monomials == frozenset(cs.corners),
                        f"basis size {sum(basis.widths)}, corner count {len(cs)}"))
@@ -166,7 +171,7 @@ def construct_ring(
     class_gens,
     constant: int,
     stabilization: int,
-    budget: int = DEFAULT_BUDGET,
+    work: Work | None = None,
 ) -> RingSpec:
     """Build a ring whose parameter ideal has the requested Hilbert data.
 
@@ -180,10 +185,9 @@ def construct_ring(
 
     A stabilization index N >= 1 requires constant > N (the bump lives
     strictly inside the ladder), so other pairs are rejected.  Before the
-    classes are listed, |H| is counted in closed form and the built ring's
-    t = |H| + constant - stabilization - 1 middle generators are counted:
-    |H| x t generator steps, the least its corner enumeration can take, must
-    fit in `budget`.
+    classes are listed, `work` is given the forecast of |H| x t generator
+    steps, the least the built ring's corner enumeration can take, with |H|
+    in closed form and t = |H| + constant - stabilization - 1.
     """
     RingSpec(a, b)  # a, b >= 1 before they serve as moduli
     # exactly int before % reduces them: bool is an int subclass
@@ -202,11 +206,7 @@ def construct_ring(
         )
     c, s = constant, stabilization
     t = size + c - s - 1  # the gens below, less the repeat of others[0] at j = 0
-    if size * t > budget:
-        raise BudgetExceeded(
-            f"the built ring needs at least |H| x t = {size} x {t} generator steps, "
-            f"over the work budget of {budget}"
-        )
+    (work or Work()).forecast("corners", size * t, f"at least |H| x t = {size} x {t}")
     others = sorted(subgroup_classes(h_spec) - {(0, 0)})
 
     depth = c + s + 1  # pure-power padding; keeps generator products deep

@@ -6,9 +6,10 @@ generator order, semigroup membership through them, the Hilbert function
 counted exactly box by box (each monomial charged to the cheapest corner
 below it), the bounded cone-shift Cohen-Macaulay check, and verbatim
 minimal searches for the four-generator constants.  Everything here is
-exact.  Only `corners` enumerates corners and charges the work budget,
-aborting with BudgetExceeded rather than truncating; the queries read the
-CornerSet they are given.
+exact.  Only `corners` enumerates corners; the queries read the CornerSet
+they are given.  `corners` and the constants searches charge a `Work`
+ledger (a fresh one when none is given), which aborts with BudgetExceeded
+rather than truncating.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 
-from .core import RingSpec, class_of, group_order, order_of
-from .errors import BudgetExceeded, InvalidDN, ZeroGeneratorPair
+from .core import RingSpec, Work, class_of, group_order, order_of
+from .errors import InvalidDN, ZeroGeneratorPair
 from .fourgen import FourGenConstants
 
 Vec = tuple[int, int]
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class CornerSet:
@@ -63,8 +62,9 @@ class CornerSet:
         return sum(map(len, self.grids.values()))
 
 
-def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
-    """Per-class minimal points of S, in lattice steps (u, v) off the class rep.
+def corners(spec: RingSpec, work: Work | None = None) -> CornerSet:
+    """The complete corner set of the ring: per-class minimal points of S, in
+    lattice steps (u, v) off the class rep.
 
     Every corner is a sum of middle generators, and a corner minus one of its
     summands is again a corner (if c' - (a, 0) were in S, so would be
@@ -88,15 +88,16 @@ def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
 
     Work is counted in generator steps, t per corner accepted: in all
     |corners| x t, which bounds time and the heap size.  Every class of H
-    has a corner, so |H| x t steps above `budget` raise before any work.
+    has a corner, so |H| x t steps are forecast before any work.  The loop
+    counts against what `work` (a fresh Work when None) has left and charges
+    its steps once.
     """
     a, b, gens = spec.a, spec.b, spec.gens
     t = len(gens)
-    if (h := group_order(spec)) * t > budget:
-        raise BudgetExceeded(
-            f"corner enumeration needs at least |H| x t = {h} x {t} "
-            f"generator steps, over the work budget of {budget}"
-        )
+    h = group_order(spec)
+    work = work or Work()
+    work.forecast("corners", h * t, f"at least |H| x t = {h} x {t}")
+    left = work.left
     jb = t.bit_length()
     w = (max((e for g in gens for e in g), default=0) * h).bit_length()
     jmask, wmask = (1 << jb) - 1, (1 << w) - 1
@@ -117,18 +118,12 @@ def _corner_grids(spec: RingSpec, budget: int) -> dict[Vec, list[Vec]]:
             continue
         grid.insert(i, (u, v))
         steps += t
-        if steps > budget:
-            raise BudgetExceeded(
-                f"corner enumeration exceeded the work budget of {budget} generator steps"
-            )
+        if steps > left:
+            work.charge("corners", steps, f"t = {t} per corner, {steps // t} corners so far")
         for inc in incs[j:]:
             heappush(heap, key + inc)
-    return grids
-
-
-def corners(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> CornerSet:
-    """Enumerate the complete corner set of the ring."""
-    return CornerSet(spec, _corner_grids(spec, budget))
+    work.charge("corners", steps)
+    return CornerSet(spec, grids)
 
 
 def semigroup_contains(spec: RingSpec, v: Vec, cs: CornerSet) -> bool:
@@ -231,13 +226,15 @@ def gsw_cm_check(spec: RingSpec, cs: CornerSet) -> tuple[bool, Vec | None]:
 
 
 def fourgen_constants_bruteforce(
-    d: int, n: int, el: Vec, fm: Vec
+    d: int, n: int, el: Vec, fm: Vec, work: Work | None = None
 ) -> FourGenConstants:
     """Verbatim minimal searches for the four-generator constants.
 
     Independent of the fast path: each triple is found by a direct double
     loop over its defining range, and the first relation is located by its
     own order-minimal search instead of being derived from the other two.
+    Each outer iteration's whole inner range is counted against what `work`
+    has left before it runs; each search charges once: 2 x b2 x ord(e,l) + a3 x ord(f,m).
     """
     if d < 1 or n < 1:
         raise InvalidDN(f"need d, n >= 1, got d={d}, n={n}")
@@ -247,10 +244,14 @@ def fourgen_constants_bruteforce(
     f, m = fm
     ord_el = order_of((e % d, l % n), (d, n))
     ord_fm = order_of((f % d, m % n), (d, n))
+    work = work or Work()
 
     # smallest b with -a*(e,l) + b*(f,m) in the lattice and the sign rule
     a2 = b2 = g2 = h2 = None
+    steps = 0
     for b in range(1, ord_fm + 1):
+        if (steps := steps + ord_el) > work.left:
+            work.charge("bruteforce", steps, "second relation search, unfinished")
         for a in range(ord_el):
             g, h = b * f - a * e, b * m - a * l
             if g % d == 0 and h % n == 0 and (g > 0 or h > 0 or (g == 0 and h == 0)):
@@ -259,10 +260,14 @@ def fourgen_constants_bruteforce(
         if b2 is not None:
             break
     assert b2 is not None
+    work.charge("bruteforce", steps)
 
     # smallest a with a*(e,l) - b*(f,m) in the lattice, componentwise >= 0
     a3 = b3 = g3 = h3 = None
+    steps = 0
     for a in range(1, ord_el + 1):
+        if (steps := steps + ord_fm) > work.left:
+            work.charge("bruteforce", steps, "third relation search, unfinished")
         for b in range(ord_fm):
             g, h = a * e - b * f, a * l - b * m
             if g % d == 0 and h % n == 0 and g >= 0 and h >= 0 and (g, h) != (0, 0):
@@ -271,11 +276,15 @@ def fourgen_constants_bruteforce(
         if a3 is not None:
             break
     assert a3 is not None
+    work.charge("bruteforce", steps)
 
     # least lattice value (h, then g) of a*(e,l) + b*(f,m) with a, b > 0
     # and b bounded by the search above
     best = None
+    steps = 0
     for b in range(1, b2 + 1):
+        if (steps := steps + ord_el) > work.left:
+            work.charge("bruteforce", steps, "first relation search, unfinished")
         for a in range(1, ord_el + 1):
             g, h = a * e + b * f, a * l + b * m
             if g % d == 0 and h % n == 0:
@@ -283,6 +292,7 @@ def fourgen_constants_bruteforce(
                 if best is None or cand < best:
                     best = cand
     assert best is not None
+    work.charge("bruteforce", steps)
     h1, g1, a1, b1 = best
 
     return FourGenConstants(

@@ -6,6 +6,7 @@ the dynamic program) and are deliberately slow; the package's production
 algorithms must agree with them on every sampled input.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, count
 from math import prod
@@ -73,8 +74,11 @@ def corner_grids_worklist(a: int, b: int, gens, budget: int = 10_000_000) -> dic
     The earlier production enumeration, kept as a reference for rings too
     large for corners_reference: a LIFO worklist closure over sums of middle
     generators, where a sum is kept only while no already-known point of
-    its class lies componentwise below it.  Grids come out unsorted.  Work
-    is bounded by `budget` insertions.
+    its class lies componentwise below it.  Each class keeps its known
+    points as a staircase sorted by alpha (so beta descending): the last
+    point at or before (alpha, beta) is the one that may lie below it, and
+    the points the new one lies below follow it in one run.  Work is bounded
+    by `budget` insertions.
     """
     mins: dict = {(0, 0): [(0, 0)]}
     stack = [(0, 0)]
@@ -82,22 +86,21 @@ def corner_grids_worklist(a: int, b: int, gens, budget: int = 10_000_000) -> dic
     while stack:
         x, y = stack.pop()
         for gp, gq in gens:
-            wa, wb = x + gp, y + gq
-            cls = (wa % a, wb % b)
-            lst = mins.get(cls)
-            if lst is None:
-                mins[cls] = [(wa, wb)]
-            else:
-                if any(ea <= wa and eb <= wb for ea, eb in lst):
-                    continue
-                lst[:] = [e for e in lst if not (wa <= e[0] and wb <= e[1])]
-                lst.append((wa, wb))
+            w = (x + gp, y + gq)
+            lst = mins.setdefault((w[0] % a, w[1] % b), [])
+            i = bisect_right(lst, w)  # points with alpha < w's, or equal and beta <= w's
+            if i and lst[i - 1][1] <= w[1]:
+                continue
+            j = i  # from i on alpha >= w's; drop the run that also has beta >= w's
+            while j < len(lst) and lst[j][1] >= w[1]:
+                j += 1
+            lst[i:j] = [w]
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(
                     f"corner enumeration exceeded budget of {budget} insertions"
                 )
-            stack.append((wa, wb))
+            stack.append(w)
     return {
         cls: [((va - cls[0]) // a, (vb - cls[1]) // b) for va, vb in lst]
         for cls, lst in mins.items()
@@ -227,7 +230,7 @@ def corners_reference(spec: RingSpec, budget: int = 10_000_000) -> list[tuple[in
     Candidates are all sums sum(c_i * g_i) with 0 <= c_i < order(class(g_i));
     the corner condition is tested point by point with the membership DP.
     """
-    ords = [order_of(class_of(spec, g), spec.modulus) for g in spec.gens]
+    ords = [order_of(class_of(spec, g), (spec.a, spec.b)) for g in spec.gens]
     if prod(ords, start=1) > budget:
         raise BudgetExceeded(f"{prod(ords, start=1)} candidates exceed {budget}")
     cands = {(0, 0)}

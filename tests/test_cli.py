@@ -11,8 +11,9 @@ import pytest
 import sgring
 from sgring import fourgen
 from sgring.cli import main, parse_ring
-from sgring.core import RingSpec
+from sgring.core import RingSpec, Work
 from sgring.errors import NonTermination, RingSpecError
+from sgring.oracle import corners, fourgen_constants_bruteforce
 
 MACAULAY_JSON = '{"a":4,"b":4,"gens":[[3,1],[1,3]]}'
 RING_11_JSON = '{"a":2,"b":3,"gens":[[11,1],[1,11]]}'
@@ -374,10 +375,13 @@ def test_batch_budget_boundary(capsys):
 
 
 def test_batch_oracle_rows_share_the_budget(capsys):
-    # the 120 curves with n <= 10 leave nothing for the oracle rows
+    # the 120 curves with n <= 10 leave nothing for the oracle rows, and the
+    # message says so: the budget is --budget, and batch spent it on curves
     code, out, err = run(capsys, "batch", "--curves", "--max-n", "10",
                          "--oracle-up-to", "10", "--budget", "120")
-    assert code == 69 and out == "" and "budget" in err
+    assert code == 69 and out == ""
+    assert "the work budget of 120;" in err and "spent: batch 120 curves" in err
+    assert "work budget of 0" not in err
 
 
 def test_verify_macaulay(capsys):
@@ -406,12 +410,52 @@ def test_verify_counts_hf_range_against_budget(capsys):
 
 
 def test_verify_hf_range_budget_boundary(capsys):
-    # one corner visit per order: 100 orders x 5 corners; the corners
-    # themselves take 5 x 2 generator steps
-    code, out, _ = run(capsys, "verify", "4,4;3:1,1:3", "--hf-range", "0..99", "--budget", "500")
+    # one ledger for the run: |corners| x 2 generator steps, one corner
+    # visit per order and corner, then the brute-force constants' steps
+    spec, work = RingSpec(4, 4, ((3, 1), (1, 3))), Work()
+    n_corners = len(corners(spec, work))
+    fourgen_constants_bruteforce(4, 4, (3, 1), (1, 3), work)
+    steps, brute = work.spent["corners"], work.spent["bruteforce"]
+    total = steps + 100 * n_corners + brute
+    assert (steps, n_corners, brute, total) == (10, 5, 28, 538)
+    argv = ["verify", "4,4;3:1,1:3", "--hf-range", "0..99", "--budget"]
+    code, out, _ = run(capsys, *argv, str(total))
     assert code == 0 and "all checks passed" in out
-    code, out, err = run(capsys, "verify", "4,4;3:1,1:3", "--hf-range", "0..99", "--budget", "499")
-    assert code == 69 and out == "" and "100 x 5 = 500 corner visits" in err
+    code, out, err = run(capsys, *argv, str(total - 1))
+    assert code == 69 and out == "" and err.startswith("sgring: bruteforce needs")
+    code, out, err = run(capsys, *argv, str(steps + 100 * n_corners - 1))
+    assert code == 69 and out == "" and "hilbert_function needs 500 corner visits" in err
+
+
+def test_verify_charges_the_bruteforce_constants(capsys):
+    # 101 x 103: 22,976 generator steps of corners, then 4.2M brute-force
+    # steps, which the ledger refuses before the search runs past it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "101,103;1:1,2:5", "--budget", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == ""
+    assert err.startswith("sgring: bruteforce needs") and "brute-force steps" in err
+    assert "spent: corners 22976 generator steps" in err
+
+
+_OVERSIZED = "2003,1999;1:1,2:5"  # |H| = 4,003,997
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["analyze", _OVERSIZED], "corners"),
+    (["verify", _OVERSIZED], "corners"),
+    (["basis", _OVERSIZED], "basis"),
+    (["basis", "--n", "100000", "--l", "1", "--m", "2"], "basis"),
+    (["construct", "--a", "501", "--b", "500", "--subgroup-gens", "[[1,1]]",
+      "--constant", "1", "--stab", "0"], "corners"),
+    (["batch", "--curves", "--max-n", "100000"], "batch"),
+], ids=["analyze", "verify", "basis", "basis_curve", "construct", "batch"])
+def test_oversized_input_exits_69_at_once(capsys, argv, layer):
+    # every subcommand refuses on a forecast or its first charge
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 69 and out == "" and err.startswith(f"sgring: {layer} needs ")
 
 
 def test_verify_trivial(capsys):

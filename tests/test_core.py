@@ -1,6 +1,8 @@
-"""Core arithmetic: ring validation, classes, membership, degrees."""
+"""Core arithmetic: ring validation, classes, membership, degrees, the work ledger."""
 
+import ast
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from helpers import (
     small_specs_for_crosscheck,
     weighted_degree,
 )
-from sgring.core import RingSpec, class_of, group_order, order_of, subgroup_classes
-from sgring.errors import NegativeExponent, NonPositiveAB, ZeroGenerator
+from sgring.core import RingSpec, Work, class_of, group_order, order_of, subgroup_classes
+from sgring.errors import BudgetExceeded, NegativeExponent, NonPositiveAB, ZeroGenerator
 from sgring.hilbert import hilbert_data, is_cm
 from sgring.oracle import corners, semigroup_contains
 
@@ -209,3 +211,50 @@ def test_rescaling_preserves_invariants():
         hd, hd_s = hilbert_data(spec, corners(spec)), hilbert_data(scaled, corners(scaled))
         assert (hd.multiplicity, hd.constant, hd.stabilization) == \
                (hd_s.multiplicity, hd_s.constant, hd_s.stabilization)
+
+
+def test_work_forecast_spends_nothing_and_charge_spends():
+    work = Work(10)
+    work.forecast("corners", 10, "at least 10")
+    assert (work.left, work.spent) == (10, {})
+    work.charge("batch", 4)
+    work.charge("corners", 6)
+    assert (work.left, work.spent) == (0, {"batch": 4, "corners": 6})
+    work.charge("basis", 0)
+    with pytest.raises(BudgetExceeded) as exc:
+        work.forecast("bruteforce", 1, "one step")
+    assert str(exc.value) == (
+        "bruteforce needs 1 brute-force steps (one step), over the 0 left of the work "
+        "budget of 10; spent: batch 4 curves, corners 6 generator steps, basis 0 basis pairs")
+    with pytest.raises(BudgetExceeded):
+        work.charge("corners", 1)
+    assert (work.left, work.spent) == (0, {"batch": 4, "corners": 6, "basis": 0})
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sgring").glob("*.py"))
+
+
+def _outside_work():
+    """(file:line, node) for every AST node of the package outside class Work."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(n) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Work"
+                  for n in ast.walk(cls)}
+        for n in ast.walk(tree):
+            if id(n) not in inside and hasattr(n, "lineno"):
+                yield f"{path.name}:{n.lineno}", n
+
+
+def test_only_the_ledger_raises_budget_exceeded():
+    # the budget rule lives in one place: core.Work
+    raises = [where for where, n in _outside_work()
+              if isinstance(n, ast.Raise) and "BudgetExceeded" in ast.unparse(n)]
+    assert SOURCES and not raises
+
+
+def test_no_function_but_the_ledger_takes_a_budget():
+    # functions that spend work take a Work, never a bare budget
+    takers = [where for where, n in _outside_work() if isinstance(n, ast.arg)
+              and n.arg == "budget"]
+    assert not takers

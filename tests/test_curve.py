@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import YDEGS_23_2_18, candidate_box, iter_curves
-from sgring.core import RingSpec
+from sgring.core import RingSpec, Work
 from sgring.curve import (
     BatchRow,
     CurveSpec,
@@ -16,7 +16,7 @@ from sgring.curve import (
 )
 from sgring.errors import BudgetExceeded, InvalidCurve
 from sgring.fourgen import constants as fourgen_constants
-from sgring.oracle import corners
+from sgring.oracle import corners, fourgen_constants_bruteforce
 
 def test_curve_spec_validation():
     with pytest.raises(InvalidCurve):
@@ -155,14 +155,20 @@ def test_batch_oracle_column_reports_a_failed_check(monkeypatch):
 def test_batch_oracle_rows_share_the_budget():
     # the 220 curves with n <= 12 use the whole budget before any oracle row
     with pytest.raises(BudgetExceeded):
-        batch_classify(12, oracle_up_to=12, budget=220)
-    # C(6, 3) = 20 curves, then |corners| x 2 generator steps per oracle ring
-    steps = sum(2 * len(corners(RingSpec(n, n, CurveSpec(n, l, m).ring_gens())))
-                for n, l, m in iter_curves(6))
-    assert steps == 224
-    assert len(batch_classify(6, oracle_up_to=6, budget=20 + steps)) == 20
+        batch_classify(12, oracle_up_to=12, work=Work(220))
+    # C(6, 3) = 20 curves, then per oracle ring |corners| x 2 generator steps
+    # and the brute-force constants' steps, each counted on its own ledger
+    steps, brute = 0, Work()
+    for n, l, m in iter_curves(6):
+        gens = CurveSpec(n, l, m).ring_gens()
+        steps += 2 * len(corners(RingSpec(n, n, gens)))
+        fourgen_constants_bruteforce(n, n, *gens, brute)
+    assert (steps, brute.spent["bruteforce"]) == (224, 617)
+    work = Work(20 + 224 + 617)
+    assert len(batch_classify(6, oracle_up_to=6, work=work)) == 20
+    assert work.spent == {"batch": 20, "corners": 224, "bruteforce": 617}
     with pytest.raises(BudgetExceeded):
-        batch_classify(6, oracle_up_to=6, budget=20 + steps - 1)
+        batch_classify(6, oracle_up_to=6, work=Work(20 + 224 + 617 - 1))
 
 
 def test_batch_differential_run():

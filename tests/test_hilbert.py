@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import MACAULAY, RING_11, small_specs_for_crosscheck
-from sgring.core import RingSpec, subgroup_classes
+from sgring.core import RingSpec, Work, subgroup_classes
 from sgring.errors import BudgetExceeded, InfeasibleHilbertData, TrivialSubgroup
 from sgring.hilbert import _ladders, construct_ring, hilbert_data, is_cm
 from sgring.oracle import corners, gsw_cm_check, hilbert_function
@@ -175,10 +175,12 @@ def test_construct_roundtrip_sample():
 
 def test_construct_counts_generator_steps_against_budget():
     # |H| = 6 and t = 6 + 4 - 1 - 1 = 8 middle generators: 48 steps at least
-    spec = construct_ring(2, 3, [(1, 1)], 4, 1, budget=48)
+    work = Work(48)
+    spec = construct_ring(2, 3, [(1, 1)], 4, 1, work)
     assert len(spec.gens) == 8
+    assert work.left == 48  # a forecast spends nothing
     with pytest.raises(BudgetExceeded):
-        construct_ring(2, 3, [(1, 1)], 4, 1, budget=47)
+        construct_ring(2, 3, [(1, 1)], 4, 1, Work(47))
 
 
 def test_construct_length():

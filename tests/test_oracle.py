@@ -22,7 +22,7 @@ from helpers import (
     hilbert_function_reference,
     small_specs_for_crosscheck,
 )
-from sgring.core import RingSpec, subgroup_classes
+from sgring.core import RingSpec, Work, subgroup_classes
 from sgring.errors import BudgetExceeded
 from sgring.hilbert import hilbert_data
 from sgring.oracle import (
@@ -221,15 +221,15 @@ def test_gsw_agrees_with_length_criterion():
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        corners(RING_11, budget=3)
+        corners(RING_11, Work(3))
 
 
 def _assert_budget_is_generator_steps(spec):
     # one generator step per corner + g formed: exactly |corners| x |gens|
     steps = len(corners(spec)) * len(spec.gens)
-    assert len(corners(spec, budget=steps)) * len(spec.gens) == steps
+    assert len(corners(spec, Work(steps))) * len(spec.gens) == steps
     with pytest.raises(BudgetExceeded):
-        corners(spec, budget=steps - 1)
+        corners(spec, Work(steps - 1))
 
 
 def test_budget_counts_generator_steps():
@@ -256,24 +256,28 @@ def test_budget_counts_group_order_before_work():
     # |H| = 250500 classes each need a corner: 2 x 250500 steps at least
     spec = RingSpec(501, 500, ((1, 1), (2, 3)))
     with pytest.raises(BudgetExceeded, match="250500"):
-        corners(spec, budget=2 * 250500 - 1)
+        corners(spec, Work(2 * 250500 - 1))
 
 
 @pytest.mark.parametrize("spec, message", [
-    # one generator: always |corners| = |H|, so the pre-check fires first
+    # one generator: always |corners| = |H|, so the forecast fires first
     (RingSpec(5, 7, ((2, 3),)),
-     "corner enumeration needs at least |H| x t = 35 x 1 generator steps, "
-     "over the work budget of 34"),
-    (MACAULAY, "corner enumeration exceeded the work budget of 9 generator steps"),
+     "corners needs 35 generator steps (at least |H| x t = 35 x 1), "
+     "over the 34 left of the work budget of 34; spent: nothing"),
+    (MACAULAY, "corners needs 10 generator steps (t = 2 per corner, 5 corners so far), "
+     "over the 9 left of the work budget of 9; spent: nothing"),
     (RingSpec(13, 17, ((1, 16), (12, 1), (5, 7), (3, 11))),
-     "corner enumeration exceeded the work budget of 2003 generator steps"),
-])
+     "corners needs 2004 generator steps (t = 4 per corner, 501 corners so far), "
+     "over the 2003 left of the work budget of 2003; spent: nothing"),
+], ids=["one_generator", "macaulay", "four_generators"])
 def test_budget_boundary_message(spec, message):
     t = len(spec.gens)
     cs = corners(spec)
-    assert corners(spec, len(cs) * t).grids == cs.grids
+    work = Work(len(cs) * t)
+    assert corners(spec, work).grids == cs.grids
+    assert (work.left, work.spent) == (0, {"corners": len(cs) * t})
     with pytest.raises(BudgetExceeded) as exc:
-        corners(spec, len(cs) * t - 1)
+        corners(spec, Work(len(cs) * t - 1))
     assert str(exc.value) == message
 
 
