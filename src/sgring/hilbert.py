@@ -46,7 +46,10 @@ def _ladders(grid: tuple[Vec, ...]) -> tuple[Vec, list[Vec], list[Vec], int, int
     Pointer walks give the ladders: row v below the anchor starts at the
     first corner with v' <= v, column u left of it at the last with u' <= u.
     """
-    k = min(range(len(grid)), key=lambda i: (grid[i][0] + grid[i][1], grid[i][1]))
+    k, least = 0, grid[0][0] + grid[0][1]
+    for i, (u, v) in enumerate(grid):
+        if u + v <= least:  # v descends: the last tie has the least v
+            k, least = i, u + v
     au, av = grid[k]
     rows = []
     j = k
@@ -125,7 +128,8 @@ def run_checks(cs: CornerSet, hd: HilbertData,
     lattice rather than from the relation constants.  Without `with_oracle`
     nothing brute-force runs: no cone-shift criterion, no constants or
     seed-box check.  `work` is charged the count's corner visits before it
-    runs and the brute-force constants' steps.
+    runs, one per corner and order (an upper bound: the count finds the
+    boxes once per corner set), and the brute-force constants' steps.
     """
     spec = cs.spec
     work = work or Work()

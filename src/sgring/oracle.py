@@ -4,46 +4,54 @@ Corner staircases (the unique monomial basis of R/(x^a, y^b)), found by
 one heap walk in which each candidate is pushed only in canonical
 generator order, semigroup membership through them, the Hilbert function
 counted exactly box by box (each monomial charged to the cheapest corner
-below it), the bounded cone-shift Cohen-Macaulay check, and verbatim
-minimal searches for the four-generator constants.  Everything here is
-exact.  Only `corners` enumerates corners; the queries read the CornerSet
-they are given.  `corners` and the constants searches charge a `Work`
-ledger (a fresh one when none is given), which aborts with BudgetExceeded
-rather than truncating.
+below it; the boxes are found once per corner set), the bounded cone-shift
+Cohen-Macaulay check, and verbatim minimal searches for the four-generator
+constants.  Everything here is exact.  Only `corners` enumerates corners;
+the queries read the CornerSet they are given.  `corners` and the
+constants searches charge a `Work` ledger (a fresh one when none is
+given), which aborts with BudgetExceeded rather than truncating.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
+from types import MappingProxyType
 
 from .core import RingSpec, Work, class_of, group_order, order_of
 from .errors import InvalidDN, ZeroGeneratorPair
 from .fourgen import FourGenConstants
 
 Vec = tuple[int, int]
+# ((W, H), count): count corners whose box is W wide and H high, None unbounded
+Box = tuple[tuple[int | None, int | None], int]
 
 
 class CornerSet:
     """All monomials of R outside (x^a, y^b), grouped by congruence class.
 
-    grids is the one stored view: class (p, q), in ascending order ->
-    ((u, v), ...), the class's corners (p + u*a, q + v*b) in lattice steps,
-    u ascending (so v descending: each class is an antichain); the
-    constructor takes each grid already in that order.  Derived on each
-    access, not cached:
+    grids is the one stored view, a read-only mapping: class (p, q), in
+    ascending order -> ((u, v), ...), the class's corners (p + u*a, q + v*b)
+    in lattice steps, u ascending (so v descending: each class is an
+    antichain); the constructor takes each grid already in that order.
+    Derived on each access, not cached:
 
     by_class  -- class -> the class's corners as exponent vectors, beta
                  ascending (alpha descending)
     corners   -- every corner as an exponent vector, sorted by (beta, alpha)
     len()     -- the number of corners
+
+    The box profile behind `hilbert_function` is cached: the first call
+    fills it, and nothing else does.  It is a function of the read-only
+    grids, so threads that race to fill it store equal immutable values.
     """
 
-    __slots__ = ("spec", "grids")
+    __slots__ = ("spec", "grids", "_boxes")
 
     def __init__(self, spec: RingSpec, grids: dict[Vec, list[Vec]]):
         self.spec = spec
-        self.grids = {cls: tuple(g) for cls, g in sorted(grids.items())}
+        self.grids = MappingProxyType({cls: tuple(g) for cls, g in sorted(grids.items())})
+        self._boxes: tuple[int, tuple[Box, ...]] | None = None
 
     @property
     def by_class(self) -> dict[Vec, tuple[Vec, ...]]:
@@ -159,41 +167,66 @@ def hilbert_function(spec: RingSpec, n: int, cs: CornerSet) -> int:
     is unbounded): a point of the box dominates i and no corner outside
     (L, R), and the corners of (L, R) cost more left of i and no less right
     of it.  In the box, order n is the diagonal u + v = s_i + n, which holds
-    min(n+1, u_R - u_i) - max(0, n+1 - (v_L - v_i)) points when that is
-    positive.  One monotonic-stack pass over the grid finds every L and R;
-    a class with a single corner contributes n + 1.
+    min(n+1, W) - max(0, n+1 - H) points when that is positive, W = u_R - u_i
+    and H = v_L - v_i.  The boxes do not depend on n: `_box_profile` finds
+    them once per corner set and caches them on `cs`, and each call sums
+    the diagonals over the distinct box shapes.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    profile = cs._boxes
+    if profile is None:
+        profile = cs._boxes = _box_profile(cs)
+    free, boxes = profile
     m = n + 1
-    total = 0
+    total = free * m
+    for (w, h), count in boxes:
+        c = (m if w is None or w > m else w) - (0 if h is None or h >= m else m - h)
+        if c > 0:
+            total += count * c
+    return total
+
+
+def _box_profile(cs: CornerSet) -> tuple[int, tuple[Box, ...]]:
+    """(free, boxes): the order-n counts of `hilbert_function`, for every n.
+
+    In each class exactly one corner, the leftmost cheapest, has neither L
+    nor R, so its box is a quadrant holding n + 1 points of order n; free
+    counts these, one per class.  boxes lists every other box shape (W, H)
+    with the number of corners that have it, None for an unbounded side.
+    One monotonic-stack pass over each grid finds every L and R.  A
+    Cohen-Macaulay ring has only free corners and stores no box.
+    """
+    shapes: dict[tuple[int | None, int | None], int] = {}
     for grid in cs.grids.values():
         if len(grid) == 1:
-            total += m
             continue
         # The stack holds the corners still waiting for their R, s
-        # non-decreasing, as (s, u, v, h) with h = min(n+1, v_L - v).  Its top
-        # is kept unpacked in ts, tu, tv, th; ts = -1 marks an empty stack.
-        below: list[tuple[int, int, int, int]] = []
+        # non-decreasing, as (s, u, v, h) with h = v_L - v (None: no L).  Its
+        # top is kept unpacked in ts, tu, tv, th; ts = -1 marks an empty stack.
+        below: list[tuple[int, int, int, int | None]] = []
         grid_iter = iter(grid)
         tu, tv = next(grid_iter)
-        ts, th = tu + tv, m  # the first corner has no L
+        ts, th = tu + tv, None  # the first corner has no L
         for u, v in grid_iter:
             s = u + v
-            while ts > s:  # (u, v) is the top's R: charge the top's box
-                c = th + (u - tu) - m
-                total += th if c > th else c if c > 0 else 0
-                ts, tu, tv, th = below.pop() if below else (-1, 0, 0, 0)
+            while ts > s:  # (u, v) is the top's R
+                shape = (u - tu, th)
+                shapes[shape] = shapes.get(shape, 0) + 1
+                ts, tu, tv, th = below.pop() if below else (-1, 0, 0, None)
             if ts < 0:  # no L
-                th = m
+                th = None
             else:  # the top is this corner's L
                 below.append((ts, tu, tv, th))
-                th = tv - v if tv - v < m else m
+                th = tv - v
             ts, tu, tv = s, u, v
-        total += th  # the corners left on the stack have no R
-        for entry in below:
-            total += entry[3]
-    return total
+        # The corners left on the stack have no R; only the bottom one, the
+        # class's free corner, also has no L.
+        below.append((ts, tu, tv, th))
+        for entry in below[1:]:
+            shape = (None, entry[3])
+            shapes[shape] = shapes.get(shape, 0) + 1
+    return len(cs.grids), tuple(shapes.items())
 
 
 def gsw_cm_check(spec: RingSpec, cs: CornerSet) -> tuple[bool, Vec | None]:

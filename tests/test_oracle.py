@@ -6,6 +6,8 @@ scans, DP membership).
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,14 @@ def test_corners_macaulay():
     assert set(cs.corners) == {(0, 0), (3, 1), (1, 3), (6, 2), (2, 6)}
     assert len(cs) == 5
     assert cs.corners == tuple(sorted(cs.corners, key=lambda v: (v[1], v[0])))
+
+
+def test_corner_grids_are_read_only():
+    cs = corners(MACAULAY)
+    with pytest.raises(TypeError):
+        cs.grids[(0, 0)] = ((0, 0),)
+    with pytest.raises(TypeError):
+        del cs.grids[(0, 0)]
 
 
 def test_corners_trivial():
@@ -173,6 +183,73 @@ def test_hilbert_function_matches_interval_count(data):
     for n in (*range(hd.stabilization + 6), 10**6):
         assert hilbert_function(spec, n, cs) == sum(_count_order_n(g, n) for g in cs.grids.values()), n
     assert hilbert_function(spec, 10**6, cs) == hd.value(10**6)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_hilbert_function_cached_boxes_answer_any_order(data):
+    # one corner set queried at 10**6, then down to 0, then back up: the
+    # boxes cached by the first call give every later value
+    a = data.draw(st.integers(1, 25))
+    b = data.draw(st.integers(1, 25))
+    gens = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda g: g != (0, 0)),
+            min_size=0,
+            max_size=4,
+            unique=True,
+        )
+    )
+    spec = RingSpec(a, b, tuple(gens))
+    cs = corners(spec)
+    top = hilbert_data(spec, cs).stabilization + 5
+    for n in (10**6, *range(top, -1, -1), *range(top + 1)):
+        expected = sum(_count_order_n(g, n) for g in cs.grids.values())
+        assert hilbert_function(spec, n, cs) == expected, n
+        assert hilbert_function(spec, n, corners(spec)) == expected, n
+
+
+def test_hilbert_function_first_calls_race_safely():
+    # threads that all find the box cache empty each fill it with the same
+    # profile, so every value stays exact
+    spec = RingSpec(13, 17, ((1, 16), (12, 1), (5, 7), (3, 11)))
+    expected = [hilbert_function(spec, n, corners(spec)) for n in range(12)]
+    cs, got = corners(spec), {}
+
+    def query(k):
+        got[k] = [hilbert_function(spec, n, cs) for n in range(12)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert got == {k: expected for k in range(6)}
+
+
+def test_hilbert_function_rejects_negative_order():
+    cs = corners(MACAULAY)
+    with pytest.raises(ValueError, match="n >= 0"):
+        hilbert_function(MACAULAY, -1, cs)
+
+
+def test_hilbert_function_cohen_macaulay_counts_classes():
+    # every class has one corner: HF(n) = |H| (n + 1), and the cached
+    # boxes are the class count alone
+    for spec in (RingSpec(2, 3, ()), RingSpec(4, 4, ((3, 1),)), RingSpec(5, 7, ((2, 3),))):
+        cs = corners(spec)
+        assert all(len(g) == 1 for g in cs.grids.values())
+        assert cs._boxes is None  # corners() leaves the cache empty
+        h = len(subgroup_classes(spec))
+        for n in (0, 1, 7, 10**6):
+            assert hilbert_function(spec, n, cs) == h * (n + 1), (spec, n)
+        assert cs._boxes == (h, ())
 
 
 def test_hilbert_function_first_difference_stabilizes():
