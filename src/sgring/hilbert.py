@@ -1,13 +1,18 @@
-"""Hilbert data of (x^a, y^b) from per-class corner ladders.
+"""Hilbert data of (x^a, y^b), read off each class's corners in one walk.
 
-For each congruence class the corners form a staircase.  The anchor is a
-corner of least weighted degree; walking the staircase rows below it (and,
-mirrored, the columns left of it) yields two ladders whose lengths sum to
-the class's contribution to the Hilbert constant, and whose degree profile
-determines when the Hilbert function settles onto the polynomial.  Ladders
-are walked on the grids of a corner set the caller enumerated with
-`oracle.corners`; nothing here enumerates corners.  `run_checks` is the one
-table of Cohen-Macaulay criteria and fast-vs-oracle checks.
+A class's corners are an antichain in lattice steps, u ascending, and its
+weighted degree is a constant plus a*b*(u + v).  The anchor (au, av) is the
+corner of least u + v, the last on a tie.  The rows below it and the
+columns left of it are the class's two ladders, of lengths av - v_last and
+au - u_first; their sum is its share of the Hilbert constant.  N is the
+widest gap of the greedy degree descent down a ladder to the anchor.  Each
+rung is served by a corner, and u + v rises away from that corner, so the
+descent lands only on corners.  Hence the chain rule: from the far corner
+step to the nearest corner toward the anchor whose u + v is no larger (the
+anchor always qualifies); the gap is v_next - v_cur - 1 on rows and
+u_next - u_cur - 1 on columns.  The grids come from `oracle.corners`;
+nothing here enumerates corners.  `run_checks` is the one table of
+Cohen-Macaulay criteria and fast-vs-oracle checks.
 """
 
 from __future__ import annotations
@@ -19,53 +24,19 @@ from .core import RingSpec, Work, group_order, subgroup_classes
 from .errors import InfeasibleHilbertData, RingSpecError, TrivialSubgroup
 from .oracle import CornerSet, fourgen_constants_bruteforce, gsw_cm_check, hilbert_function
 
-Vec = tuple[int, int]
 
-
-def _max_gap(degs: list[int]) -> int:
-    """Largest gap in the greedy descent over a degree profile.
-
-    From the top index repeatedly jump to the largest lower index whose
-    degree does not exceed the current one (index 0 always qualifies);
-    the answer is the widest stretch of skipped indices.
-    """
-    gap, cur = 0, len(degs) - 1
-    for nxt in range(cur - 1, -1, -1):
-        if degs[nxt] <= degs[cur]:
-            gap, cur = max(gap, cur - nxt - 1), nxt
+def _settle(walk, axis: int) -> int:
+    """Widest gap of one ladder's descent, walking its corners (u, v) from
+    the far end to the anchor, in steps of coordinate `axis` (1 for rows,
+    0 for columns)."""
+    walk = iter(walk)
+    cur = next(walk)
+    deg, gap = cur[0] + cur[1], 0
+    for nxt in walk:
+        if nxt[0] + nxt[1] <= deg:
+            gap = max(gap, nxt[axis] - cur[axis] - 1)
+            cur, deg = nxt, nxt[0] + nxt[1]
     return gap
-
-
-def _ladders(grid: tuple[Vec, ...]) -> tuple[Vec, list[Vec], list[Vec], int, int]:
-    """(anchor, row ladder, column ladder, row gap, column gap) of one class.
-
-    `grid` is the class's antichain in lattice steps, u ascending.  Inside a
-    class the weighted degree b*alpha + a*beta is a constant plus
-    a*b*(u + v), so the anchor is the corner of least (u + v, v, u) and the
-    gaps are taken over u + v.
-    Pointer walks give the ladders: row v below the anchor starts at the
-    first corner with v' <= v, column u left of it at the last with u' <= u.
-    """
-    k, least = 0, grid[0][0] + grid[0][1]
-    for i, (u, v) in enumerate(grid):
-        if u + v <= least:  # v descends: the last tie has the least v
-            k, least = i, u + v
-    au, av = grid[k]
-    rows = []
-    j = k
-    for v in range(av - 1, grid[-1][1] - 1, -1):
-        while grid[j][1] > v:
-            j += 1
-        rows.append((grid[j][0], v))
-    cols = []
-    j = k
-    for u in range(au - 1, grid[0][0] - 1, -1):
-        while grid[j][0] > u:
-            j -= 1
-        cols.append((u, grid[j][1]))
-    row_gap = _max_gap([au + av] + [u + v for u, v in rows])
-    col_gap = _max_gap([au + av] + [u + v for u, v in cols])
-    return (au, av), rows, cols, row_gap, col_gap
 
 
 @dataclass(frozen=True)
@@ -94,17 +65,21 @@ class HilbertData:
 
 
 def hilbert_data(spec: RingSpec, cs: CornerSet) -> HilbertData:
-    """Aggregate the per-class ladders of the corner set `cs` into the
-    Hilbert polynomial.  A single-corner class has empty ladders and no
-    gap, so it adds nothing beyond its share of the multiplicity."""
-    constant = 0
-    settle = 0
+    """The Hilbert polynomial of the corner set `cs`, from one walk over
+    each class's corners (see the module docstring).  A single-corner class
+    has empty ladders and no gap, so it adds nothing beyond its share of
+    the multiplicity."""
+    constant = settle = 0
     for grid in cs.grids.values():
         if len(grid) == 1:
             continue
-        _, rows, cols, row_gap, col_gap = _ladders(grid)
-        constant += len(rows) + len(cols)
-        settle = max(settle, row_gap, col_gap)
+        k, least = 0, grid[0][0] + grid[0][1]
+        for i, (u, v) in enumerate(grid):
+            if u + v <= least:  # v descends: the last tie has the least v
+                k, least = i, u + v
+        au, av = grid[k]
+        constant += av - grid[-1][1] + au - grid[0][0]
+        settle = max(settle, _settle(reversed(grid[k:]), 1), _settle(grid[:k + 1], 0))
     return HilbertData(
         multiplicity=len(cs.grids), constant=constant, stabilization=settle
     )

@@ -309,6 +309,64 @@ def _count_order_n(grid: tuple[Vec, ...], n: int) -> int:
     return count
 
 
+def _max_gap(degs: list[int]) -> int:
+    """Largest gap in the greedy descent over a degree profile.
+
+    From the top index repeatedly jump to the largest lower index whose
+    degree does not exceed the current one (index 0 always qualifies);
+    the answer is the widest stretch of skipped indices.
+    """
+    gap, cur = 0, len(degs) - 1
+    for nxt in range(cur - 1, -1, -1):
+        if degs[nxt] <= degs[cur]:
+            gap, cur = max(gap, cur - nxt - 1), nxt
+    return gap
+
+
+def _ladders(grid: tuple[Vec, ...]) -> tuple[Vec, list[Vec], list[Vec], int, int]:
+    """(anchor, row ladder, column ladder, row gap, column gap) of one class.
+
+    `grid` is the class's antichain in lattice steps, u ascending.  Inside a
+    class the weighted degree b*alpha + a*beta is a constant plus
+    a*b*(u + v), so the anchor is the corner of least (u + v, v, u) and the
+    gaps are taken over u + v.
+    Pointer walks give the ladders: row v below the anchor starts at the
+    first corner with v' <= v, column u left of it at the last with u' <= u.
+    """
+    k, least = 0, grid[0][0] + grid[0][1]
+    for i, (u, v) in enumerate(grid):
+        if u + v <= least:  # v descends: the last tie has the least v
+            k, least = i, u + v
+    au, av = grid[k]
+    rows = []
+    j = k
+    for v in range(av - 1, grid[-1][1] - 1, -1):
+        while grid[j][1] > v:
+            j += 1
+        rows.append((grid[j][0], v))
+    cols = []
+    j = k
+    for u in range(au - 1, grid[0][0] - 1, -1):
+        while grid[j][0] > u:
+            j -= 1
+        cols.append((u, grid[j][1]))
+    row_gap = _max_gap([au + av] + [u + v for u, v in rows])
+    col_gap = _max_gap([au + av] + [u + v for u, v in cols])
+    return (au, av), rows, cols, row_gap, col_gap
+
+
+def ladder_aggregate(grids) -> tuple[int, int]:
+    """(constant, stabilization) from the class grids by the earlier
+    production ladder pass, kept as the reference for hilbert_data: ladder
+    lengths summed, gaps maxed."""
+    constant = settle = 0
+    for grid in grids:
+        _, rows, cols, row_gap, col_gap = _ladders(grid)
+        constant += len(rows) + len(cols)
+        settle = max(settle, row_gap, col_gap)
+    return constant, settle
+
+
 def gsw_reference(spec: RingSpec) -> tuple[bool, tuple[int, int] | None]:
     """Literal bounded cone-shift search over group-lattice points."""
     ref = corners_reference(spec)

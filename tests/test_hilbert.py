@@ -1,18 +1,19 @@
 """Hilbert module: per-class ladders, aggregated polynomial data, constructor.
 
-Ladders are checked through `hilbert._ladders`, in lattice steps: step
+Ladders are checked through `helpers._ladders`, the list-building
+reference that `hilbert_data` must agree with, in lattice steps: step
 (u, v) of class (p, q) is the exponent vector (p + u*a, q + v*b).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import MACAULAY, RING_11, small_specs_for_crosscheck
+from helpers import MACAULAY, RING_11, _ladders, ladder_aggregate, small_specs_for_crosscheck
 from sgring.core import RingSpec, Work, subgroup_classes
 from sgring.errors import BudgetExceeded, InfeasibleHilbertData, TrivialSubgroup
-from sgring.hilbert import _ladders, construct_ring, hilbert_data, is_cm
-from sgring.oracle import corners, gsw_cm_check, hilbert_function
+from sgring.hilbert import construct_ring, hilbert_data, is_cm
+from sgring.oracle import CornerSet, corners, gsw_cm_check, hilbert_function
 
 
 def test_staircase_macaulay_class():
@@ -99,6 +100,34 @@ def test_hilbert_data_random_rings(data):
         assert hilbert_function(spec, big_n - 1, cs) != hd.value(big_n - 1), spec
         assert big_n < hd.constant, spec
     assert hd.multiplicity == len(subgroup_classes(spec))
+    assert (hd.constant, hd.stabilization) == ladder_aggregate(cs.grids.values())
+
+
+@st.composite
+def staircases(draw):
+    """One class's corner antichain: u strictly rising, v strictly falling.
+    Steps of 1..6 on both axes make ties in u + v common."""
+    steps = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=59))
+    u, v = draw(st.integers(0, 5)), draw(st.integers(0, 5)) + sum(dv for _, dv in steps)
+    grid = [(u, v)]
+    for du, dv in steps:
+        u, v = u + du, v - dv
+        grid.append((u, v))
+    return tuple(grid)
+
+
+@given(staircases())
+@example(((0, 3), (2, 2), (5, 0)))  # the anchor first, a row gap of 1
+@example(((0, 5), (2, 2), (3, 0)))  # the anchor last, a column gap of 1
+@example(((0, 4), (1, 2), (3, 0)))  # a tie for the least u + v
+@example(((0, 3), (2, 1), (3, 0)))  # every corner ties
+@example(((0, 0),))
+@settings(max_examples=200, deadline=None)
+def test_hilbert_data_matches_ladders_on_staircases(grid):
+    # hilbert_data reads only the grids, so the ring is a placeholder
+    cs = CornerSet(RingSpec(1, 1), {(0, 0): list(grid)})
+    hd = hilbert_data(cs.spec, cs)
+    assert (hd.multiplicity, hd.constant, hd.stabilization) == (1, *ladder_aggregate([grid]))
 
 
 def test_cm_forces_zero_constant_and_stabilization():
