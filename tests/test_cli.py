@@ -447,10 +447,14 @@ _OVERSIZED = "2003,1999;1:1,2:5"  # |H| = 4,003,997
 @pytest.mark.parametrize("argv, layer", [
     (["analyze", _OVERSIZED], "corners"),
     (["verify", _OVERSIZED], "corners"),
-], ids=["analyze", "verify"])
+    (["basis", _OVERSIZED], "basis"),
+    (["basis", "--n", "100000", "--l", "1", "--m", "2"], "basis"),
+    (["construct", "--a", "501", "--b", "500", "--subgroup-gens", "[[1,1]]",
+      "--constant", "1", "--stab", "0"], "corners"),
+    (["batch", "--curves", "--max-n", "100000"], "batch"),
+], ids=["analyze", "verify", "basis", "basis_curve", "construct", "batch"])
 def test_oversized_input_exits_69_at_once(capsys, argv, layer):
-    # refused on the corner forecast; basis, construct and batch refuse the
-    # same way in their own budget tests above
+    # every subcommand refuses on a forecast or its first charge
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--budget", "1000")
     assert time.perf_counter() - start < 1.0
