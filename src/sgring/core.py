@@ -92,20 +92,18 @@ def order_of(c: Vec, modulus: Vec) -> int:
 
 
 def subgroup_classes(spec: RingSpec) -> frozenset[Vec]:
-    """Closure of the middle generators' classes under addition mod (a, b)."""
+    """H: the classes of the middle generators' span in (Z/aZ) + (Z/bZ),
+    listed from the Hermite form (d1, y1, d2) of `_lattice_form`.
+
+    A lattice point with x = i*d1 has y = i*y1 (mod d2), and d1 | a, d2 | b,
+    so H is {(i*d1, y) : 0 <= i < a/d1, 0 <= y < b, y = i*y1 (mod d2)},
+    one class per point, (a/d1)*(b/d2) in all.
+    """
     a, b = spec.a, spec.b
-    step = {(p % a, q % b) for p, q in spec.gens}
-    step.discard((0, 0))
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        x, y = frontier.pop()
-        for dp, dq in step:
-            nxt = ((x + dp) % a, (y + dq) % b)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    d1, y1, d2 = _lattice_form(a, b, spec.gens)
+    # a frozenset copied from a set gets a table sized to fit, one filled
+    # from a generator keeps its growth headroom (up to twice the memory)
+    return frozenset({(i * d1, y) for i in range(a // d1) for y in range(i * y1 % d2, b, d2)})
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -1,20 +1,23 @@
 """Brute-force ground truth for the fast paths.
 
 Corner staircases (the unique monomial basis of R/(x^a, y^b)), found by
-one heap walk in which each candidate is pushed only in canonical
-generator order, semigroup membership through them, the Hilbert function
-counted exactly box by box (each monomial charged to the cheapest corner
-below it; the boxes are found once per corner set), the bounded cone-shift
-Cohen-Macaulay check, and verbatim minimal searches for the four-generator
-constants.  Everything here is exact.  Only `corners` enumerates corners;
-the queries read the CornerSet they are given.  `corners` and the
-constants searches charge a `Work` ledger (a fresh one when none is
-given), which aborts with BudgetExceeded rather than truncating.
+one heap walk in lexicographic (x, y) order, in which every generator step
+goes up: each candidate is pushed only in canonical generator order and is
+tested against one corner, the last one found in its class (inside a class
+that order is (u, v) order, so that corner has the least v).  Semigroup
+membership through the corners, the Hilbert function counted exactly box
+by box (each monomial charged to the cheapest corner below it; the boxes
+are found once per corner set), the bounded cone-shift Cohen-Macaulay
+check, and verbatim minimal searches for the four-generator constants.
+Everything here is exact.  Only `corners` enumerates corners; the queries
+read the CornerSet they are given.  `corners` and the constants searches
+charge a `Work` ledger (a fresh one when none is given), which aborts with
+BudgetExceeded rather than truncating.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from heapq import heappop, heappush
 from types import MappingProxyType
 
@@ -76,14 +79,21 @@ def corners(spec: RingSpec, work: Work | None = None) -> CornerSet:
 
     Every corner is a sum of middle generators, and a corner minus one of its
     summands is again a corner (if c' - (a, 0) were in S, so would be
-    c - (a, 0)).  So candidates leave a heap in increasing alpha + beta, and
-    a popped point is a corner iff no corner already found in its class lies
-    componentwise below it: any such point has smaller alpha + beta.  Only
-    corners are expanded, and each class's grid is built in u order.
+    c - (a, 0)).  Every generator has nonnegative coordinates and is not
+    (0, 0), so adding one moves a point up in lexicographic (x, y) order.
+    Candidates leave a heap in that order, and a popped point is a corner iff
+    no corner already found in its class lies componentwise below it: any
+    such point comes before it in (x, y) order.  Only corners are expanded.
 
-    A heap entry is one int packing (x + y, x, y, j), most significant
-    first, where j indexes the generator added last; a corner popped with
-    index j pushes only c + g_j' for j' >= j.  This is exact:
+    In a class x = p + u*a, so (x, y) order is (u, v) order there.  When a
+    candidate (u, v) pops, every corner found so far in its class has
+    u' <= u; the class's corners form an antichain, appended in u order, so
+    the last one has the least v.  One comparison, last v <= v, decides
+    dominance, and an accepted corner is appended to its class's grid.
+
+    A heap entry is one int packing (x, y, j), most significant first, where
+    j indexes the generator added last; a corner popped with index j pushes
+    only c + g_j' for j' >= j.  This is exact:
       1. Write a corner as a sum of generators sorted by index.  Each prefix
          of that sum is a corner (a corner minus a summand is one), so every
          corner is pushed along its sorted path.
@@ -110,7 +120,7 @@ def corners(spec: RingSpec, work: Work | None = None) -> CornerSet:
     w = (max((e for g in gens for e in g), default=0) * h).bit_length()
     jmask, wmask = (1 << jb) - 1, (1 << w) - 1
     # generator j as a packed increment that also sets the index field to j
-    incs = [(((gp + gq) << 2 * w | gp << w | gq) << jb) + j for j, (gp, gq) in enumerate(gens)]
+    incs = [((gp << w | gq) << jb) + j for j, (gp, gq) in enumerate(gens)]
     grids: dict[Vec, list[Vec]] = {}
     heap = [0]
     steps = 0
@@ -118,13 +128,12 @@ def corners(spec: RingSpec, work: Work | None = None) -> CornerSet:
         key = heappop(heap)
         j = key & jmask
         key -= j
-        x, y = (key >> w + jb) & wmask, (key >> jb) & wmask
+        x, y = key >> w + jb, (key >> jb) & wmask
+        v = y // b
         grid = grids.setdefault((x % a, y % b), [])
-        u, v = x // a, y // b
-        i = bisect_left(grid, (u + 1,))  # corners with u' <= u precede i
-        if i and grid[i - 1][1] <= v:
+        if grid and grid[-1][1] <= v:  # the class's least v so far
             continue
-        grid.insert(i, (u, v))
+        grid.append((x // a, v))
         steps += t
         if steps > left:
             work.charge("corners", steps, f"t = {t} per corner, {steps // t} corners so far")

@@ -43,6 +43,27 @@ def lattice_contains(spec: RingSpec, v: tuple[int, int]) -> bool:
     return (y - (x // d1) * y1) % d2 == 0
 
 
+def subgroup_classes_bfs(spec: RingSpec) -> frozenset[Vec]:
+    """Closure of the middle generators' classes under addition mod (a, b).
+
+    The earlier production `subgroup_classes`, kept as a reference for the
+    listing from the Hermite form: it never looks at `_lattice_form`.
+    """
+    a, b = spec.a, spec.b
+    step = {(p % a, q % b) for p, q in spec.gens}
+    step.discard((0, 0))
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for dp, dq in step:
+            nxt = ((x + dp) % a, (y + dq) % b)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
 def membership_dp(spec: RingSpec, amax: int, bmax: int):
     """Membership in S, by the dynamic program, for points up to (amax, bmax).
 

@@ -22,6 +22,7 @@ from helpers import (
     iter_curves,
     iter_fourgen_params,
     iter_hilbert_family,
+    subgroup_classes_bfs,
 )
 from sgring.cli import build_report
 from sgring.core import RingSpec, subgroup_classes
@@ -209,7 +210,7 @@ def test_criterion_9_determinant_identities_and_corollaries():
         key = (d, n, el[0] % d, el[1] % n, fm[0] % d, fm[1] % n)
         h = group_sizes.get(key)
         if h is None:
-            h = len(subgroup_classes(RingSpec(d, n, (el, fm))))
+            h = len(subgroup_classes_bfs(RingSpec(d, n, (el, fm))))
             group_sizes[key] = h
         assert h == c.a3 * c.b2 - c.a2 * c.b3, (d, n, el, fm)
         assert h == c.a3 * c.b1 + c.a1 * c.b3, (d, n, el, fm)

@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -13,6 +13,7 @@ from helpers import (
     lattice_contains,
     membership_dp,
     small_specs_for_crosscheck,
+    subgroup_classes_bfs,
     weighted_degree,
 )
 from sgring.core import RingSpec, Work, class_of, group_order, order_of, subgroup_classes
@@ -175,11 +176,27 @@ def test_lattice_closed_under_negation_and_addition(data):
 def test_lattice_matches_subgroup_classes():
     # v lies in the group iff its congruence class is generated by the gens
     for spec in small_specs_for_crosscheck():
-        group = subgroup_classes(spec)
+        group = subgroup_classes_bfs(spec)
         assert group_order(spec) == len(group)
         for x in range(-spec.a, 2 * spec.a + 1):
             for y in range(-spec.b, 2 * spec.b + 1):
                 assert lattice_contains(spec, (x, y)) == ((x % spec.a, y % spec.b) in group)
+
+
+@given(a=st.integers(1, 12), b=st.integers(1, 12),
+       gens=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30))
+                     .filter(lambda g: g != (0, 0)), max_size=4))
+@example(a=5, b=7, gens=[])
+@example(a=1, b=6, gens=[(3, 4)])
+@example(a=6, b=1, gens=[(4, 3), (2, 0)])
+@example(a=8, b=12, gens=[(6, 0), (0, 9)])
+@example(a=4, b=6, gens=[(4, 6), (12, 7), (9, 18)])
+@example(a=10**9, b=10**9, gens=[(5 * 10**8, 0), (0, 5 * 10**8)])
+@settings(max_examples=80, deadline=None)
+def test_subgroup_classes_match_closure(a, b, gens):
+    # the Hermite-form listing against the closure under addition
+    spec = RingSpec(a, b, tuple(gens))
+    assert subgroup_classes(spec) == subgroup_classes_bfs(spec)
 
 
 def test_weighted_degree_examples():

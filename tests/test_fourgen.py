@@ -17,9 +17,10 @@ from helpers import (
     constants_walk,
     monomial_basis_sets,
     pair_log,
+    subgroup_classes_bfs,
 )
 from sgring import fourgen
-from sgring.core import RingSpec, group_order, order_of, subgroup_classes
+from sgring.core import RingSpec, group_order, order_of
 from sgring.errors import InvalidDN, NegativeExponent, ZeroGeneratorPair
 from sgring.fourgen import (
     BasisResult,
@@ -188,7 +189,7 @@ def test_candidate_box_size_is_group_order():
         el, fm = rng.sample(VECS_12, 2)
         c = constants(d, n, el, fm)
         box = candidate_box(c)
-        group = subgroup_classes(RingSpec(d, n, (el, fm)))
+        group = subgroup_classes_bfs(RingSpec(d, n, (el, fm)))
         assert len(box) == c.group_order == len(group)
         # determinant identities for the group order
         assert c.group_order == c.a3 * c.b2 - c.a2 * c.b3

@@ -5,6 +5,7 @@ reference implementations from helpers.py (candidate products, region
 scans, DP membership).
 """
 
+import heapq
 import random
 import sys
 import threading
@@ -24,6 +25,7 @@ from helpers import (
     hilbert_function_reference,
     small_specs_for_crosscheck,
 )
+from sgring import oracle
 from sgring.core import RingSpec, Work, subgroup_classes
 from sgring.errors import BudgetExceeded
 from sgring.hilbert import hilbert_data
@@ -141,11 +143,43 @@ def _corner_rings(draw):
 @given(_corner_rings())
 # exponents past 2^70: the packed heap fields outgrow machine words
 @example(RingSpec(5, 7, ((2**70, 3), (1, 2**70 + 1), (2**71, 6), (0, 14))))
+# copies of one point at equal x from different generators: (1, 2) + (0, 3)
+# is the generator (1, 5), and (3, 1) + (0, 2) is (3, 3)
+@example(RingSpec(3, 4, ((1, 2), (0, 3), (1, 5))))
+@example(RingSpec(5, 7, ((0, 2), (3, 1), (3, 3), (0, 5))))
+@example(RingSpec(4, 6, ((0, 5), (2, 1), (2, 6), (1, 3))))
+# the huge modulus: |H| = 4, so the walk ends at once
+@example(RingSpec(10**9, 10**9, ((5 * 10**8, 0), (0, 5 * 10**8))))
 @settings(max_examples=40, deadline=None)
 def test_corners_match_worklist_random(spec):
     ref = corner_grids_worklist(spec.a, spec.b, spec.gens)
     expected = {cls: tuple(sorted(grid)) for cls, grid in sorted(ref.items())}
     assert corners(spec).grids == expected
+
+
+@given(_corner_rings())
+@example(RingSpec(3, 4, ((1, 2), (0, 3), (1, 5))))
+@example(MACAULAY)
+@settings(max_examples=30, deadline=None)
+def test_corners_push_only_later_generators(spec):
+    # A corner c accepted with index j pushes the t - j generators j' >= j.
+    # Its accepted copy is the least J(c) = j with c - g_j a corner accepted
+    # with index J(c - g_j) <= j (J(0) = 0), read here off the corner set.
+    pushes = []
+
+    def counting_push(heap, key):
+        pushes.append(key)
+        heapq.heappush(heap, key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "heappush", counting_push)
+        cs = corners(spec)
+    gens, t = spec.gens, len(spec.gens)
+    index = {(0, 0): 0}
+    for c in sorted(set(cs.corners) - {(0, 0)}):
+        index[c] = min(j for j, (gp, gq) in enumerate(gens)
+                       if index.get((c[0] - gp, c[1] - gq), t) <= j)
+    assert len(pushes) == sum(t - j for j in index.values())
 
 
 def test_hilbert_function_examples():
