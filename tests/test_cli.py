@@ -482,6 +482,32 @@ def test_plot_renders(capsys):
     assert "#" in out and "+" in out
 
 
+def test_analyze_plot_pinned(capsys):
+    # four multi-corner classes, which the corner walk meets in the order
+    # (0, 2), (0, 1), (1, 0), (1, 2): the plot lists them in class order
+    staircase = ["  ...", "  ..X", "  .X#", "  X##"]
+    code, out, err = run(capsys, "analyze", "2,3;0:5,1:1", "--plot")
+    assert (code, err) == (3, "")
+    assert out == "\n".join([
+        "ring: a=2 b=3 gens=[(0, 5), (1, 1)]",
+        "subgroup size |H|: 6",
+        "length dim_k R/(x^a,y^b): 12",
+        "multiplicity: 6",
+        "hilbert polynomial: P(n) = 6*(n+1) + 6   (exact for n >= 0)",
+        "criteria: corner_unique=false fourgen_sign=false length_equals_multiplicity=false",
+        "basis size: 12",
+        "class (0, 1): corners at steps [(0, 3), (1, 2), (2, 1)] (u right, v down)",
+        *staircase,
+        "class (0, 2): corners at steps [(0, 1), (1, 0)] (u right, v down)",
+        "  .X", "  X#",
+        "class (1, 0): corners at steps [(0, 2), (1, 1)] (u right, v down)",
+        "  ..", "  .X", "  X#",
+        "class (1, 2): corners at steps [(0, 3), (1, 2), (2, 1)] (u right, v down)",
+        *staircase,
+        "cohen-macaulay: no",
+    ]) + "\n"
+
+
 @pytest.mark.parametrize("argv, plot", [
     ([MACAULAY_JSON], ["pairs (a right, b down), 5 total:", "  ###", "  #..", "  +.."]),
     (["--n", "23", "--l", "2", "--m", "18"],
