@@ -67,7 +67,7 @@ def parse_ring(text: str) -> RingSpec:
             return RingSpec(data["a"], data["b"], tuple((p, q) for p, q in data["gens"]))
         except RingSpecError:
             raise
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise RingSpecError(f"bad ring JSON: {exc}") from exc
     try:
         head, _, tail = text.partition(";")
@@ -183,7 +183,7 @@ def cmd_analyze(args) -> int:
 def _plot_corners(cs: oracle.CornerSet) -> None:
     """ASCII staircases, one grid per congruence class with several corners."""
     out = sys.stdout
-    for cls, grid in cs.grids.items():
+    for cls, grid in sorted(cs.grids.items()):
         if len(grid) < 2:
             continue
         max_u = min(grid[-1][0], 40)
@@ -266,7 +266,7 @@ def cmd_basis(args) -> int:
 def cmd_construct(args) -> int:
     try:
         class_gens = [(p, q) for p, q in json.loads(args.subgroup_gens)]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         raise RingSpecError(f"bad --subgroup-gens: {exc}") from exc
     work = Work(args.budget)
     spec = hilbert.construct_ring(args.a, args.b, class_gens, args.constant, args.stab, work)

@@ -4,15 +4,15 @@ Corner staircases (the unique monomial basis of R/(x^a, y^b)), found by
 one heap walk in lexicographic (x, y) order, in which every generator step
 goes up: each candidate is pushed only in canonical generator order and is
 tested against one corner, the last one found in its class (inside a class
-that order is (u, v) order, so that corner has the least v).  Semigroup
-membership through the corners, the Hilbert function counted exactly box
-by box (each monomial charged to the cheapest corner below it; the boxes
-are found once per corner set), the bounded cone-shift Cohen-Macaulay
-check, and verbatim minimal searches for the four-generator constants.
-Everything here is exact.  Only `corners` enumerates corners; the queries
-read the CornerSet they are given.  `corners` and the constants searches
-charge a `Work` ledger (a fresh one when none is given), which aborts with
-BudgetExceeded rather than truncating.
+that order is (u, v) order, so that corner has the least v); its grids stay
+in the walk's order.  Semigroup membership through the corners, the Hilbert
+function counted exactly box by box (each monomial charged to the cheapest
+corner below it; the boxes are found once per corner set), the bounded
+cone-shift Cohen-Macaulay check, and verbatim minimal searches for the
+four-generator constants.  Everything here is exact.  Only `corners`
+enumerates corners; the queries read the CornerSet they are given.
+`corners` and the constants searches charge a `Work` ledger (a fresh one
+when none is given), which aborts with BudgetExceeded rather than truncating.
 """
 
 from __future__ import annotations
@@ -33,27 +33,29 @@ Box = tuple[tuple[int | None, int | None], int]
 class CornerSet:
     """All monomials of R outside (x^a, y^b), grouped by congruence class.
 
-    grids is the one stored view, a read-only mapping: class (p, q), in
-    ascending order -> ((u, v), ...), the class's corners (p + u*a, q + v*b)
-    in lattice steps, u ascending (so v descending: each class is an
-    antichain); the constructor takes each grid already in that order.
+    grids is the one stored view, a read-only mapping: class (p, q) ->
+    ((u, v), ...), the class's corners (p + u*a, q + v*b) in lattice steps,
+    u ascending (so v descending: each class is an antichain).  The
+    constructor takes ownership of the dict it is given, each grid in that
+    order: it makes every grid a tuple in place and wraps that same dict, so
+    the classes keep its order (from `corners`, that of their first corners).
     Derived on each access, not cached:
 
-    by_class  -- class -> the class's corners as exponent vectors, beta
-                 ascending (alpha descending)
+    by_class  -- class -> its corners as exponent vectors, beta ascending
     corners   -- every corner as an exponent vector, sorted by (beta, alpha)
     len()     -- the number of corners
 
-    The box profile behind `hilbert_function` is cached: the first call
-    fills it, and nothing else does.  It is a function of the read-only
-    grids, so threads that race to fill it store equal immutable values.
+    The first `hilbert_function` call caches the box profile, a function of
+    the read-only grids: racing threads store equal immutable values.
     """
 
     __slots__ = ("spec", "grids", "_boxes")
 
     def __init__(self, spec: RingSpec, grids: dict[Vec, list[Vec]]):
         self.spec = spec
-        self.grids = MappingProxyType({cls: tuple(g) for cls, g in sorted(grids.items())})
+        for cls, grid in grids.items():
+            grids[cls] = tuple(grid)
+        self.grids = MappingProxyType(grids)
         self._boxes: tuple[int, tuple[Box, ...]] | None = None
 
     @property
@@ -75,7 +77,7 @@ class CornerSet:
 
 def corners(spec: RingSpec, work: Work | None = None) -> CornerSet:
     """The complete corner set of the ring: per-class minimal points of S, in
-    lattice steps (u, v) off the class rep.
+    lattice steps (u, v) off the class rep, classes as the walk meets them.
 
     Every corner is a sum of middle generators, and a corner minus one of its
     summands is again a corner (if c' - (a, 0) were in S, so would be

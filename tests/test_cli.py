@@ -87,6 +87,20 @@ def test_bool_exponents_are_bad_input(capsys):
     assert code == 65 and out == "" and err
 
 
+_NESTED = "[" * 5000 + "]" * 5000  # about 10 KB, deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([cmd, '{"a":2,"b":3,"gens":' + _NESTED + "}"], "bad ring JSON")
+      for cmd in ("analyze", "verify", "basis")],
+    (["construct", "--a", "2", "--b", "3", "--subgroup-gens", _NESTED,
+      "--constant", "2", "--stab", "1"], "bad --subgroup-gens"),
+], ids=["analyze", "verify", "basis", "construct"])
+def test_deeply_nested_json_is_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and out == "" and message in err
+
+
 def test_internal_guard_exit_code(capsys, monkeypatch):
     def broken(consts):
         raise NonTermination("basis loop exceeded its bound")

@@ -9,6 +9,7 @@ import heapq
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +51,25 @@ def test_corner_grids_are_read_only():
         cs.grids[(0, 0)] = ((0, 0),)
     with pytest.raises(TypeError):
         del cs.grids[(0, 0)]
+    # the constructor turns every grid it is given into a tuple, lists too
+    built = oracle.CornerSet(RingSpec(1, 1), {(0, 0): [(0, 1), (1, 0)]})
+    assert built.grids == {(0, 0): ((0, 1), (1, 0))}
+    for grids in (cs.grids, built.grids):
+        assert all(type(grid) is tuple for grid in grids.values())
+
+
+def test_corner_set_build_keeps_no_second_copy():
+    # The CornerSet wraps the walk's own dict, so building it allocates
+    # little beyond what the corner set retains.
+    spec = RingSpec(101, 103, ((1, 1), (2, 5)))
+    tracemalloc.start()
+    try:
+        cs = corners(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cs) == 11_488
+    assert peak < 1.4 * retained, (peak, retained)
 
 
 def test_corners_trivial():
